@@ -1000,9 +1000,10 @@ let live () =
 
 (* The same fault-free live run three times: tracing disabled, tracing
    into an in-memory ring (span/snapshot work done, nothing persisted),
-   and the default full JSONL persistence. Throughput comes from the
+   and the default full JSONL persistence. Deliveries come from the
    workers' own stats files, so the comparison measures the protocol
-   path, not the merge. *)
+   path, not the merge; they are divided by the traffic window, not by
+   the wall clock, which also holds start-up, settle and shutdown. *)
 let live_overhead () =
   section "L2: live telemetry overhead (fault-free, Damani-Garg)";
   let t =
@@ -1062,7 +1063,7 @@ let live_overhead () =
                    | None -> acc))
              0
       in
-      let tput = float_of_int delivered /. wall in
+      let tput = float_of_int delivered /. cfg.Live.duration in
       let trace_bytes =
         List.fold_left
           (fun acc f -> acc + (Unix.stat f).Unix.st_size)
@@ -1089,7 +1090,7 @@ let live_overhead () =
   Format.printf "%s@." (Table.render t);
   Format.printf
     "expected shape: spans and snapshots are cheap next to real sockets and \
-     fsyncs —@.";
+     store writes (flushed, not fsynced) —@.";
   Format.printf
     "the three modes should deliver within a few percent of each other.@."
 
@@ -1105,13 +1106,17 @@ let live_overhead () =
    spans, and the wire counters from the workers' own stats files. *)
 let cluster () =
   section "L3: transport fabrics — UDS mesh vs TCP loopback (Damani-Garg)";
+  (* Linear interpolation between closest ranks, so the p95 of 20 samples
+     is not simply their maximum. *)
   let percentile samples p =
     match List.sort compare samples with
     | [] -> 0.0
     | sorted ->
         let a = Array.of_list sorted in
-        a.(min (Array.length a - 1)
-            (int_of_float (p *. float_of_int (Array.length a))))
+        let h = p *. float_of_int (Array.length a - 1) in
+        let lo = int_of_float h in
+        let hi = min (Array.length a - 1) (lo + 1) in
+        a.(lo) +. ((h -. float_of_int lo) *. (a.(hi) -. a.(lo)))
   in
   let mean = function
     | [] -> 0.0

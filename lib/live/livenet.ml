@@ -31,6 +31,7 @@ type 'a t = {
   me : int;
   n : int;
   fd : Unix.file_descr;
+  peers : Unix.sockaddr array; (* by pid, built once *)
   rng : Prng.t;
   jitter_lo : float;
   jitter_span : float;
@@ -70,8 +71,6 @@ let check_dir ~dir ~n =
          path len sun_path_max)
   else Ok ()
 
-let addr t dst = Unix.ADDR_UNIX (sock_path t.dir dst)
-
 (* An active partition blocks frames crossing the island boundary in
    either direction. The gate sits below both lanes: Data frames (and
    acks) vanish like real in-flight losses, while Control frames come
@@ -95,7 +94,7 @@ let raw_send t ~dst bytes =
   if partitioned t ~dst then t.partition_blocked <- t.partition_blocked + 1
   else
     try
-    ignore (Unix.sendto t.fd bytes 0 (Bytes.length bytes) [] (addr t dst))
+    ignore (Unix.sendto t.fd bytes 0 (Bytes.length bytes) [] t.peers.(dst))
   with
   | Unix.Unix_error
       ( ( Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN | Unix.EWOULDBLOCK
@@ -156,10 +155,11 @@ let dispatch t frame =
       end
   | Ctl_ack { seq } -> Hashtbl.remove t.unacked seq
 
-(* Drain every datagram currently queued; the socket is non-blocking. *)
+(* Drain every datagram currently queued; the socket is non-blocking.
+   Frames carry their sender, so the source address is not read. *)
 let rec pump t =
-  match Unix.recvfrom t.fd t.buf 0 (Bytes.length t.buf) [] with
-  | len, _ ->
+  match Unix.recv t.fd t.buf 0 (Bytes.length t.buf) [] with
+  | len ->
       if len > 0 then begin
         (match (Marshal.from_bytes (Bytes.sub t.buf 0 len) 0 : 'a frame) with
         | frame -> dispatch t frame
@@ -195,6 +195,7 @@ let create ?(jitter = (0.001, 0.02)) ?(retransmit_every = 0.1) ?(seq_base = 0)
       me;
       n;
       fd;
+      peers = Array.init n (fun i -> Unix.ADDR_UNIX (sock_path dir i));
       rng = Prng.create seed;
       jitter_lo;
       jitter_span = Float.max (jitter_hi -. jitter_lo) 1e-9;

@@ -79,10 +79,25 @@ let get t i =
     (* Volatile list is newest-first. *)
     List.nth t.volatile (total_length t - 1 - i)
 
+(* One pass: the stable part by index, the volatile part by reversing the
+   newest-first list once (indexing into it would cost O(v) per entry). *)
 let iter_range t ~from ~until f =
-  for i = from to until - 1 do
-    f (get t i)
-  done
+  if from < until then begin
+    if from < t.floor || until > total_length t then
+      invalid_arg
+        (Printf.sprintf "Message_log.iter_range: [%d, %d) out of range" from
+           until);
+    for i = from to min until t.stable_len - 1 do
+      f t.stable.(i)
+    done;
+    let rec walk i = function
+      | e :: rest when i < until ->
+          if i >= from then f e;
+          walk (i + 1) rest
+      | _ -> ()
+    in
+    if until > t.stable_len then walk t.stable_len (List.rev t.volatile)
+  end
 
 let truncate t k =
   if k < t.floor then invalid_arg "Message_log.truncate: below GC floor";

@@ -40,7 +40,9 @@ val get : 'entry t -> int -> 'entry
     [gc_prefix]). *)
 
 val iter_range : 'entry t -> from:int -> until:int -> ('entry -> unit) -> unit
-(** Apply to entries [from, until). *)
+(** Apply to entries [from, until), oldest first, in one pass over the
+    range (stable and volatile alike). Raises [Invalid_argument] when a
+    non-empty range leaves the readable entries. *)
 
 val truncate : 'entry t -> int -> unit
 (** [truncate t k] keeps only the first [k] entries. Used by rollback to

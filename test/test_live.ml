@@ -12,6 +12,9 @@ module Transport = Optimist_core.Transport
 module Trace = Optimist_obs.Trace
 module Json = Optimist_obs.Json
 module Check = Optimist_check.Check
+module Process = Optimist_core.Process
+module Types = Optimist_core.Types
+module Ftvc = Optimist_clock.Ftvc
 
 let tmp_counter = ref 0
 
@@ -92,6 +95,127 @@ let test_store_torn_tail () =
   Alcotest.(check (array string)) "torn tail dropped" [| "one"; "two" |]
     (Store.load_log st);
   Store.close st
+
+(* --- Damani-Garg stable state through the store --- *)
+
+(* A transport with no fabric: sends vanish, and the test hands frames to
+   the process's handler itself. *)
+let bare_net () =
+  let handler = ref (fun _ -> ()) in
+  ( {
+      Transport.send = (fun ~lane:_ ~src:_ ~dst:_ _ -> ());
+      broadcast = (fun ~lane:_ ~src:_ _ -> ());
+      set_handler = (fun _ f -> handler := f);
+      set_down = (fun _ -> ());
+      set_up = (fun ~drop_held_data:_ _ -> ());
+    },
+    fun w -> !handler w )
+
+(* An application message from P1 (incarnation 0) to P0. *)
+let from_p1 ~uid data =
+  Types.Wire_app
+    {
+      Types.data;
+      clock = Ftvc.entries (Ftvc.sent (Ftvc.create ~n:2 ~me:1));
+      frontier = [||];
+      sender = 1;
+      uid;
+    }
+
+let dg_p0 ?stable ?restore app =
+  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
+  let net, push = bare_net () in
+  let uids = ref 0 in
+  let p =
+    Process.create_rt ~rt:(Loop.runtime loop) ~net ~app ~id:0 ~n:2 ?stable
+      ?restore
+      ~next_uid:(fun () ->
+        incr uids;
+        !uids)
+      ()
+  in
+  (p, push)
+
+(* A checkpoint holds no per-delivery data: its marshalled record (what
+   the store appends to cps.bin) is the same size after 100 and after
+   10 000 deliveries. *)
+let test_checkpoint_size_constant () =
+  let size = ref 0 in
+  let stable =
+    {
+      Process.null_hooks with
+      checkpoint_recorded =
+        (fun ~position cp ->
+          size := String.length (Marshal.to_string (position, cp) []));
+    }
+  in
+  let counter =
+    { Types.init = (fun _ -> 0); on_message = (fun ~me:_ ~src:_ k () -> (k + 1, [])) }
+  in
+  let p, push = dg_p0 ~stable counter in
+  let deliver ~from ~until =
+    for uid = from to until - 1 do
+      push (from_p1 ~uid:(1_000 + uid) ())
+    done
+  in
+  deliver ~from:0 ~until:100;
+  Process.checkpoint_now p;
+  let after_100 = !size in
+  deliver ~from:100 ~until:10_000;
+  Process.checkpoint_now p;
+  Alcotest.(check int) "all delivered" 10_000 (Process.state p);
+  Alcotest.(check bool)
+    (Printf.sprintf "size %d B after 100, %d B after 10000" after_100 !size)
+    true
+    (abs (!size - after_100) <= 16)
+
+(* After a restart from the on-disk image, a resent message that is in the
+   stable log is a duplicate; one that was only in the lost volatile tail
+   is delivered. *)
+let test_image_restart_dedup () =
+  let dir = Filename.concat (temp_dir ()) "dd" in
+  let store = ref (Store.open_ dir) in
+  let stable =
+    {
+      Process.log_appended = (fun es -> List.iter (Store.append_log !store) es);
+      log_truncated = (fun ~stable -> Store.truncate_log !store ~stable);
+      checkpoint_recorded =
+        (fun ~position cp -> Store.append_checkpoint !store ~position cp);
+      checkpoints_discarded_after =
+        (fun ~position -> Store.discard_checkpoints_after !store ~position);
+      tokens_logged = (fun tokens -> Store.write_tokens !store tokens);
+    }
+  in
+  let app =
+    { Types.init = (fun _ -> []); on_message = (fun ~me:_ ~src:_ s m -> (m :: s, [])) }
+  in
+  let p, push = dg_p0 ~stable app in
+  push (from_p1 ~uid:1001 "logged");
+  Process.flush_now p;
+  push (from_p1 ~uid:1002 "volatile");
+  Alcotest.(check (list string)) "before the crash" [ "volatile"; "logged" ]
+    (Process.state p);
+  (* SIGKILL: the volatile tail is gone; rebuild from what is on disk. *)
+  Store.close !store;
+  store := Store.open_ dir;
+  let image =
+    {
+      Process.im_log = Store.load_log !store;
+      im_checkpoints = Store.load_checkpoints !store;
+      im_tokens = Store.load_tokens !store;
+    }
+  in
+  let q, push = dg_p0 ~stable ~restore:image app in
+  Process.recover q;
+  Alcotest.(check (list string)) "replayed" [ "logged" ] (Process.state q);
+  push (from_p1 ~uid:1001 "logged");
+  push (from_p1 ~uid:1002 "volatile");
+  Alcotest.(check (list string)) "resends" [ "volatile"; "logged" ]
+    (Process.state q);
+  Alcotest.(check int) "one duplicate" 1
+    (Option.value ~default:0
+       (List.assoc_opt "duplicates_dropped" (Process.counters q)));
+  Store.close !store
 
 (* --- livenet --- *)
 
@@ -451,6 +575,10 @@ let suite =
     Alcotest.test_case "loop: clock is monotone" `Quick test_loop_now_monotone;
     Alcotest.test_case "store: round-trip" `Quick test_store_roundtrip;
     Alcotest.test_case "store: torn tail tolerated" `Quick test_store_torn_tail;
+    Alcotest.test_case "dg: checkpoint size independent of deliveries" `Quick
+      test_checkpoint_size_constant;
+    Alcotest.test_case "dg: duplicate filter after an image restart" `Quick
+      test_image_restart_dedup;
     Alcotest.test_case "livenet: data and control delivery" `Quick
       test_livenet_data_and_control;
     Alcotest.test_case "livenet: control reaches a late peer" `Quick

@@ -32,13 +32,15 @@ let app : (string list, msg) Types.app =
   }
 
 let make ?(n = 3) ?(latency = 5.0) ?(control_latency = latency)
-    ?(flush_interval = 10_000.0) ?(restart_delay = 10.0) ?tracer () =
+    ?(flush_interval = 10_000.0) ?(restart_delay = 10.0)
+    ?(retransmit_lost = false) ?tracer () =
   let config =
     {
       Types.default_config with
       Types.flush_interval;
       checkpoint_interval = 10_000.0;
       restart_delay;
+      retransmit_lost;
     }
   in
   let net_config =
@@ -190,6 +192,36 @@ let test_unlogged_tokens_forget () =
   Alcotest.(check bool) "ablation forgets the token" false
     (Optimist_history.History.has_token without_log ~pid:1 ~ver:0)
 
+(* --- duplicate filter across a crash: a delivery lost with the volatile
+   log tail is not a duplicate when its sender resends it; a logged one
+   is --- *)
+
+let test_resend_after_crash () =
+  let run ~flush_before_crash =
+    let sys = make ~retransmit_lost:true () in
+    (* P0 delivers "m" from P1 at t=10. *)
+    System.inject_at sys ~at:5.0 ~pid:1 { tag = "seed"; route = [ (0, "m") ] };
+    if flush_before_crash then
+      ignore
+        (Engine.schedule_at (System.engine sys) 12.0 (fun () ->
+             Process.flush_now (System.process sys 0)));
+    (* After P0's restart (t=25) P1 hears the token and resends "m". *)
+    System.fail_at sys ~at:15.0 ~pid:0;
+    System.run sys;
+    Alcotest.(check int) "resent" 1
+      (cget (Process.counters (System.process sys 1)) "retransmitted");
+    Alcotest.(check (list string)) "in the state once" [ "m" ] (received sys 0);
+    Process.counters (System.process sys 0)
+  in
+  let lost = run ~flush_before_crash:false in
+  Alcotest.(check int) "lost: delivered again" 2 (cget lost "delivered");
+  Alcotest.(check int) "lost: not a duplicate" 0
+    (cget lost "duplicates_dropped");
+  let logged = run ~flush_before_crash:true in
+  Alcotest.(check int) "logged: delivered once" 1 (cget logged "delivered");
+  Alcotest.(check int) "logged: duplicate" 1
+    (cget logged "duplicates_dropped")
+
 (* --- injections while down are dropped, not queued --- *)
 
 let test_inject_while_down () =
@@ -213,4 +245,6 @@ let suite =
       test_unlogged_tokens_forget;
     Alcotest.test_case "injections while down dropped" `Quick
       test_inject_while_down;
+    Alcotest.test_case "resend after a crash: lost vs logged" `Quick
+      test_resend_after_crash;
   ]

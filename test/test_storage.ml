@@ -54,12 +54,36 @@ let test_truncate_volatile () =
   Message_log.flush log;
   Alcotest.(check int) "flush after truncate" 2 (Message_log.stable_length log)
 
+(* Ranges in the stable prefix, in the volatile tail and across both;
+   empty and out-of-range ranges behave like [get]. *)
 let test_iter_range () =
   let log = Message_log.create () in
-  List.iter (Message_log.append log) [ "a"; "b"; "c"; "d" ];
-  let acc = ref [] in
-  Message_log.iter_range log ~from:1 ~until:3 (fun e -> acc := e :: !acc);
-  Alcotest.(check (list string)) "range" [ "b"; "c" ] (List.rev !acc)
+  List.iter (Message_log.append log) [ "a"; "b"; "c" ];
+  Message_log.flush log;
+  List.iter (Message_log.append log) [ "d"; "e"; "f" ];
+  let range ~from ~until =
+    let acc = ref [] in
+    Message_log.iter_range log ~from ~until (fun e -> acc := e :: !acc);
+    List.rev !acc
+  in
+  Alcotest.(check (list string)) "stable only" [ "a"; "b" ]
+    (range ~from:0 ~until:2);
+  Alcotest.(check (list string)) "spans both" [ "b"; "c"; "d"; "e" ]
+    (range ~from:1 ~until:5);
+  Alcotest.(check (list string)) "volatile only" [ "e"; "f" ]
+    (range ~from:4 ~until:6);
+  Alcotest.(check (list string)) "whole log" [ "a"; "b"; "c"; "d"; "e"; "f" ]
+    (range ~from:0 ~until:6);
+  Alcotest.(check (list string)) "empty" [] (range ~from:3 ~until:3);
+  let raised =
+    try ignore (range ~from:2 ~until:7); false with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "past the end raises" true raised;
+  Message_log.gc_prefix log 2;
+  let raised =
+    try ignore (range ~from:1 ~until:4); false with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "below the floor raises" true raised
 
 let test_gc_prefix () =
   let log = Message_log.create () in
