@@ -12,6 +12,7 @@
 
 module Table = Optimist_util.Table
 module Runner = Optimist_runner.Runner
+module Registry = Optimist_protocols.Registry
 module Schedule = Optimist_workload.Schedule
 module Traffic = Optimist_workload.Traffic
 module Network = Optimist_net.Network
@@ -32,31 +33,6 @@ let fmt_float f = Printf.sprintf "%.2f" f
 (* ------------------------------------------------------------------ *)
 (* T1: paper Table 1, measured                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* Static facts about each implementation, stated by its module docs. *)
-let ordering_assumption = function
-  | Runner.Strom_yemini | Runner.Peterson_kearns -> "FIFO"
-  | Runner.Damani_garg | Runner.Damani_garg_no_hold | Runner.Pessimistic
-  | Runner.Sender_based | Runner.Checkpoint_only | Runner.Coordinated ->
-      "None"
-
-(* Does the restarting process resume without waiting for any peer?
-   Structural property of each protocol (see the module documentation);
-   the P2 experiment measures the corresponding stall. *)
-let asynchronous_recovery = function
-  | Runner.Damani_garg | Runner.Damani_garg_no_hold | Runner.Strom_yemini
-  | Runner.Pessimistic | Runner.Checkpoint_only ->
-      "Yes"
-  | Runner.Sender_based | Runner.Peterson_kearns | Runner.Coordinated -> "No"
-
-(* How many failures the design claims to handle (the paper's Table 1
-   "number of concurrent failures allowed" column). *)
-let designed_concurrent = function
-  | Runner.Peterson_kearns -> "1"
-  | Runner.Sender_based -> "n (single at a time)"
-  | Runner.Damani_garg | Runner.Damani_garg_no_hold | Runner.Strom_yemini
-  | Runner.Pessimistic | Runner.Checkpoint_only | Runner.Coordinated ->
-      "n"
 
 let table1 () =
   section "T1: Table 1 — comparison with related work (measured)";
@@ -104,10 +80,11 @@ let table1 () =
   in
   List.iter
     (fun protocol ->
-      let ordering =
-        if ordering_assumption protocol = "FIFO" then Network.Fifo
-        else Network.Reorder
-      in
+      (* Static facts about each implementation come from the registry;
+         the P2 experiment measures the recovery stall behind
+         [async_recovery]. *)
+      let facts = Registry.entry protocol in
+      let ordering = if facts.fifo then Network.Fifo else Network.Reorder in
       let with_oracle = protocol = Runner.Damani_garg in
       let p = { base with Runner.protocol; ordering; with_oracle } in
       let r = Runner.run p in
@@ -132,11 +109,11 @@ let table1 () =
       Table.add_row t
         [
           r.Runner.r_protocol;
-          ordering_assumption protocol;
-          asynchronous_recovery protocol;
+          (if facts.fifo then "FIFO" else "None");
+          (if facts.async_recovery then "Yes" else "No");
           fmt_float rollbacks_per_failure;
           fmt_float piggyback;
-          designed_concurrent protocol;
+          facts.concurrent;
           (if concurrent_ok then "recovered" else "degraded");
         ])
     protocols;
@@ -265,7 +242,7 @@ let domino () =
       List.iter
         (fun protocol ->
           let ordering =
-            if ordering_assumption protocol = "FIFO" then Network.Fifo
+            if (Registry.entry protocol).fifo then Network.Fifo
             else Network.Reorder
           in
           let p =
@@ -326,8 +303,7 @@ let recovery () =
   List.iter
     (fun protocol ->
       let ordering =
-        if ordering_assumption protocol = "FIFO" then Network.Fifo
-        else Network.Reorder
+        if (Registry.entry protocol).fifo then Network.Fifo else Network.Reorder
       in
       let p =
         {
@@ -960,7 +936,7 @@ let live () =
   in
   List.iter
     (fun protocol ->
-      let name = Live_worker.protocol_name protocol in
+      let name = Registry.name protocol in
       let dir =
         Filename.concat
           (Filename.get_temp_dir_name ())
@@ -991,7 +967,7 @@ let live () =
           string_of_int r.Live.clean_exits;
           string_of_int r.Live.dropped;
         ])
-    [ Live_worker.Dg; Live_worker.Pessimist ];
+    [ Registry.Damani_garg; Registry.Pessimistic ];
   Format.printf "%s@." (Table.render t)
 
 (* ------------------------------------------------------------------ *)

@@ -16,6 +16,7 @@
      dune exec bin/recsim.exe -- list *)
 
 module Runner = Optimist_runner.Runner
+module Registry = Optimist_protocols.Registry
 module Trace = Optimist_obs.Trace
 module Json = Optimist_obs.Json
 module Check = Optimist_check.Check
@@ -54,17 +55,14 @@ let probability = conv_of Validate.probability Format.pp_print_float
 
 (* --- shared argument definitions --- *)
 
-let protocol_conv =
-  let parse s =
-    match Runner.protocol_of_string s with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown protocol %S (see `recsim list')" s))
-  in
-  let print ppf p = Format.pp_print_string ppf (Runner.protocol_name p) in
-  Arg.conv (parse, print)
+(* One parser for every subcommand's --protocol: any canonical name or
+   alias from the registry. The live, cluster and soak commands take
+   only the protocols the worker can host. *)
+let protocol_conv ~live =
+  conv_of (Registry.parse ~live) (fun ppf p ->
+      Format.pp_print_string ppf (Registry.name p))
+
+let live_protocol_names = String.concat " | " (List.map Registry.name Registry.live)
 
 let pattern_conv =
   let parse = function
@@ -251,7 +249,7 @@ let run_cmd =
   let protocol_arg =
     Arg.(
       value
-      & opt protocol_conv Runner.Damani_garg
+      & opt (protocol_conv ~live:false) Runner.Damani_garg
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL" ~doc:"Protocol to run.")
   in
   let action protocol n seed rate duration hops failures fifo oracle pattern
@@ -451,23 +449,6 @@ let check_cmd =
 
 (* --- live --- *)
 
-let live_protocol_names =
-  String.concat " | "
-    (List.map Live_worker.protocol_name Live_worker.all_protocols)
-
-let live_protocol_conv =
-  let parse s =
-    match Live_worker.protocol_of_string s with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown live protocol %S (%s)" s
-               live_protocol_names))
-  in
-  let print ppf p = Format.pp_print_string ppf (Live_worker.protocol_name p) in
-  Arg.conv (parse, print)
-
 let fault_conv =
   conv_of Validate.fault (fun ppf (at, pid) -> Format.fprintf ppf "%g:%d" at pid)
 
@@ -482,7 +463,7 @@ let live_run_cmd =
   let protocol_arg =
     Arg.(
       value
-      & opt live_protocol_conv Live_worker.Dg
+      & opt (protocol_conv ~live:true) Registry.Damani_garg
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
           ~doc:
             (Printf.sprintf "Protocol to run live: %s." live_protocol_names))
@@ -639,25 +620,18 @@ let live_soak_cmd =
   let protocols_arg =
     let protocols_conv =
       let parse s =
-        if s = "all" then Ok Live_worker.all_protocols
-        else
-          match Live_worker.protocol_of_string s with
-          | Some p -> Ok [ p ]
-          | None ->
-              Error
-                (`Msg
-                  (Printf.sprintf "unknown live protocol %S (all | %s)" s
-                     live_protocol_names))
+        if s = "all" then Ok Registry.live
+        else Result.map (fun p -> [ p ]) (Registry.parse ~live:true s)
       in
       let print ppf ps =
         Format.pp_print_string ppf
-          (String.concat "," (List.map Live_worker.protocol_name ps))
+          (String.concat "," (List.map Registry.name ps))
       in
-      Arg.conv (parse, print)
+      conv_of parse print
     in
     Arg.(
       value
-      & opt protocols_conv [ Live_worker.Dg ]
+      & opt protocols_conv [ Registry.Damani_garg ]
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
           ~doc:
             (Printf.sprintf
@@ -701,10 +675,11 @@ let live_soak_cmd =
   let print_scenario_result (s : Scenario.t) = function
     | Error msg ->
         Printf.printf "scenario %d (%s): ERROR %s\n" s.Scenario.sc_index
-          s.Scenario.sc_protocol msg
+          (Registry.name s.Scenario.sc_protocol) msg
     | Ok r ->
         Printf.printf "scenario %d (%s): %s — %d crash(es), %d events%s%s\n"
-          s.Scenario.sc_index s.Scenario.sc_protocol
+          s.Scenario.sc_index
+          (Registry.name s.Scenario.sc_protocol)
           (if Soak.failed r then "FAILED" else "ok")
           r.Soak.rr_crashes r.Soak.rr_events
           (match r.Soak.rr_violations with
@@ -1096,7 +1071,7 @@ let cluster_run_cmd =
   let protocol_arg =
     Arg.(
       value
-      & opt live_protocol_conv Live_worker.Dg
+      & opt (protocol_conv ~live:true) Registry.Damani_garg
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
           ~doc:(Printf.sprintf "Protocol to run: %s." live_protocol_names))
   in
@@ -1247,7 +1222,7 @@ let cluster_soak_cmd =
   let action seed scenarios shrink_budget agents port_base worker_base out =
     let plan =
       Scenario.plan ~seed ~count:scenarios
-        ~protocols:[ Live_worker.Dg ]
+        ~protocols:[ Registry.Damani_garg ]
     in
     let runner = Cluster.scenario_runner ~agents ~port_base ~worker_base () in
     let summary =
@@ -1296,7 +1271,7 @@ let mc_explore_term =
   let protocol_arg =
     Arg.(
       value
-      & opt protocol_conv Runner.Damani_garg
+      & opt (protocol_conv ~live:false) Runner.Damani_garg
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
           ~doc:
             "Protocol to model-check (ignored when $(b,--mutate) is given: \
@@ -1413,7 +1388,7 @@ let mc_explore_term =
       List.iter
         (fun (m : Mc_model.mutant) ->
           Printf.printf "%-18s %-12s %s  %s\n" m.Mc_model.mu_name
-            (Runner.protocol_name m.Mc_model.mu_protocol) m.Mc_model.mu_rule
+            (Registry.name m.Mc_model.mu_protocol) m.Mc_model.mu_rule
             m.Mc_model.mu_doc)
         Mc_model.mutants;
       exit 0
@@ -1454,7 +1429,7 @@ let mc_explore_term =
     let outcome =
       Mc_explorer.explore ~build:(fun () -> Mc_model.build cfg) ~crashes opts
     in
-    Printf.printf "protocol: %s%s\n" (Runner.protocol_name protocol)
+    Printf.printf "protocol: %s%s\n" (Registry.name protocol)
       (if mutation = "" then "" else "  mutation: " ^ mutation);
     Printf.printf "mode: %s  depth: %d  procs: %d  msgs: %d  hops: %d  crashes: %d\n"
       (if naive then "naive" else "dpor")
@@ -1591,14 +1566,9 @@ let compare_cmd =
     in
     List.iter
       (fun protocol ->
-        let fifo =
-          match protocol with
-          | Runner.Strom_yemini | Runner.Peterson_kearns -> true
-          | _ -> false
-        in
         let params =
-          make_params protocol n seed rate duration hops failures fifo false
-            pattern
+          make_params protocol n seed rate duration hops failures
+            (Registry.entry protocol).fifo false pattern
         in
         let r = Runner.run params in
         let piggyback =
@@ -1616,7 +1586,7 @@ let compare_cmd =
             Printf.sprintf "%.1f"
               (float_of_int (Runner.counter r "blocked_time_x1000") /. 1000.0);
           ])
-      Runner.all_protocols;
+      Registry.all;
     Format.printf "%s@." (Table.render t)
   in
   Cmd.v
@@ -1630,9 +1600,7 @@ let compare_cmd =
 
 let list_cmd =
   let action () =
-    List.iter
-      (fun p -> print_endline (Runner.protocol_name p))
-      Runner.all_protocols
+    List.iter (fun p -> print_endline (Registry.name p)) Registry.all
   in
   Cmd.v
     (Cmd.info "list" ~doc:"List the implemented protocols.")

@@ -10,7 +10,7 @@ type ('s, 'm) t = {
 }
 
 let create ?(seed = 1L) ?net_config ?config ?tracer ?trace ?registry
-    ?on_output ~n ~app () =
+    ?(protocol = "damani-garg") ?on_output ~n ~app () =
   let engine = Engine.create ~seed () in
   (match trace with Some tr -> Engine.set_tracer engine tr | None -> ());
   let net_config =
@@ -29,8 +29,7 @@ let create ?(seed = 1L) ?net_config ?config ?tracer ?trace ?registry
         let metrics =
           Option.map
             (fun registry ->
-              Metrics.Scope.create ~registry ~protocol:"damani-garg"
-                ~process:id ())
+              Metrics.Scope.create ~registry ~protocol ~process:id ())
             registry
         in
         Process.create ~engine ~net ~app ~id ~n ?config ?tracer ?metrics

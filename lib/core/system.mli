@@ -16,6 +16,7 @@ val create :
   ?tracer:Types.tracer ->
   ?trace:Optimist_obs.Trace.t ->
   ?registry:Optimist_obs.Metrics.registry ->
+  ?protocol:string ->
   ?on_output:(pid:int -> seq:int -> 'm -> unit) ->
   n:int ->
   app:('s, 'm) Types.app ->
@@ -28,7 +29,8 @@ val create :
     [trace] installs a structured-trace recorder on the engine before any
     component is built, so network and process instrumentation pick it up.
     [registry] makes every process register its metrics scope (labelled
-    [("damani-garg", pid)]) there for cross-process aggregation. *)
+    [(protocol, pid)], [protocol] defaulting to ["damani-garg"]) there
+    for cross-process aggregation. *)
 
 val engine : ('s, 'm) t -> Engine.t
 

@@ -1,5 +1,6 @@
 module Json = Optimist_obs.Json
 module Traffic = Optimist_workload.Traffic
+module Registry = Optimist_protocols.Registry
 
 (* The supervisor is the only process of a live run with a global view:
    it forks the n workers, injects failures by sending real SIGKILLs at
@@ -16,7 +17,7 @@ module Traffic = Optimist_workload.Traffic
 type cfg = {
   dir : string;
   n : int;
-  protocol : Worker.protocol;
+  protocol : Registry.id;
   seed : int64;
   duration : float;
   settle : float;
@@ -35,7 +36,7 @@ let default_cfg =
   {
     dir = "live-run";
     n = 4;
-    protocol = Worker.Dg;
+    protocol = Registry.Damani_garg;
     seed = 1L;
     duration = 3.0;
     settle = 2.0;
@@ -66,6 +67,8 @@ let run_file dir = Filename.concat dir "run.json"
 let validate cfg =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
   if cfg.n < 2 then fail "n must be at least 2 (got %d)" cfg.n;
+  if not (Worker.has_adapter cfg.protocol) then
+    fail "protocol %s does not run live" (Registry.name cfg.protocol);
   (* Catch an over-long --dir here, before any worker hits the opaque
      [Unix.bind] EINVAL/ENAMETOOLONG deep inside its fork. *)
   (match cfg.link with
@@ -275,7 +278,7 @@ let run cfg =
   let summary =
     Json.Obj
       [
-        ("protocol", Json.String (Worker.protocol_name cfg.protocol));
+        ("protocol", Json.String (Registry.name cfg.protocol));
         ("telemetry", Json.String (Worker.telemetry_name cfg.telemetry));
         ("n", Json.Int cfg.n);
         ("seed", Json.String (Int64.to_string cfg.seed));

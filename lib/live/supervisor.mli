@@ -15,7 +15,7 @@ module Traffic = Optimist_workload.Traffic
 type cfg = {
   dir : string;  (** run directory (created; previous artifacts cleared) *)
   n : int;
-  protocol : Worker.protocol;
+  protocol : Optimist_protocols.Registry.id;  (** one of the live ids *)
   seed : int64;
   duration : float;  (** injection window, seconds *)
   settle : float;  (** drain time after the window, seconds *)
@@ -54,7 +54,7 @@ val run_file : string -> string
 
 val validate : cfg -> unit
 (** Raises [Invalid_argument] with a one-line message on nonsense
-    parameters (n < 2, non-positive durations/rates, fault pid or time
+    parameters (a protocol that does not run live, n < 2, non-positive durations/rates, fault pid or time
     out of range, drop/dup rates outside [0, 1), malformed partitions,
     a [dir] whose socket paths would overflow [sun_path]). *)
 

@@ -6,7 +6,8 @@ module Sender_based = Optimist_protocols.Sender_based
 module Strom_yemini = Optimist_protocols.Strom_yemini
 module Checkpoint_only = Optimist_protocols.Checkpoint_only
 module Coordinated = Optimist_protocols.Coordinated
-module Check = Optimist_check.Check
+module Protocol_intf = Optimist_protocols.Protocol_intf
+module Registry = Optimist_protocols.Registry
 module Traffic = Optimist_workload.Traffic
 module Schedule = Optimist_workload.Schedule
 module Trace = Optimist_obs.Trace
@@ -14,38 +15,12 @@ module Span = Optimist_obs.Span
 module Metrics = Optimist_obs.Metrics
 module Json = Optimist_obs.Json
 
-type protocol = Dg | Pessimist | Sender | Sy | Cpo | Koo
+(* perfbench/bench.ml lints its live traces with [live_check_rules Dg];
+   this shim keeps that one caller compiling against the registry. *)
+type dg = Dg
 
-let protocol_name = function
-  | Dg -> "dg"
-  | Pessimist -> "pessimist"
-  | Sender -> "sender-based"
-  | Sy -> "strom-yemini"
-  | Cpo -> "checkpoint-only"
-  | Koo -> "coordinated"
-
-let protocol_of_string = function
-  | "dg" | "damani-garg" -> Some Dg
-  | "pessimist" | "pessimistic" -> Some Pessimist
-  | "sender-based" | "sender" | "sb" -> Some Sender
-  | "strom-yemini" | "sy" -> Some Sy
-  | "checkpoint-only" | "cpo" -> Some Cpo
-  | "coordinated" | "koo-toueg" | "koo" -> Some Koo
-  | _ -> None
-
-let all_protocols = [ Dg; Pessimist; Sender; Sy; Cpo; Koo ]
-
-(* The sanitizer rules a protocol's live traces are expected to satisfy:
-   the full offline battery for the core protocol, each baseline's
-   declared subset otherwise. (Online-only rules need the ground-truth
-   oracle and cannot run over a merged trace.) *)
-let live_check_rules = function
-  | Dg -> Check.offline_ids
-  | Pessimist -> Pessimistic.check_rules
-  | Sender -> Sender_based.check_rules
-  | Sy -> Strom_yemini.check_rules
-  | Cpo -> Checkpoint_only.check_rules
-  | Koo -> Coordinated.check_rules
+let live_check_rules (_ : dg) =
+  Option.get (Registry.entry Registry.Damani_garg).live_rules
 
 type telemetry = Off | Ring | Full
 
@@ -61,7 +36,7 @@ type cfg = {
   dir : string;
   me : int;
   n : int;
-  protocol : protocol;
+  protocol : Registry.id;
   gen : int;  (** incarnation: 0 on first spawn, +1 per restart *)
   seed : int64;
   base : float;  (** shared [Unix.gettimeofday] origin of the run *)
@@ -129,7 +104,7 @@ let write_stats cfg ~net_stats ~store_stats outcome =
       [
         ("pid", Json.Int cfg.me);
         ("gen", Json.Int cfg.gen);
-        ("protocol", Json.String (protocol_name cfg.protocol));
+        ("protocol", Json.String (Registry.name cfg.protocol));
         ("telemetry", Json.String (telemetry_name cfg.telemetry));
         ("epoch", Json.Int outcome.epoch);
         ("digest", Json.Int outcome.digest);
@@ -172,15 +147,6 @@ let uid_gen cfg =
     incr seq;
     (((cfg.gen lsl 28) + !seq) * cfg.n) + cfg.me
 
-let live_dg_config =
-  {
-    Types.default_config with
-    checkpoint_interval = 1.0;
-    flush_interval = 0.25;
-    restart_delay = 0.3;
-    retransmit_lost = true;
-  }
-
 (* --- telemetry plumbing --- *)
 
 let snapshot_period = 0.5
@@ -195,7 +161,7 @@ let emit_snapshot cfg loop ~ver values =
         ver;
         clock = [||];
         kind =
-          Trace.Snapshot { protocol = protocol_name cfg.protocol; values };
+          Trace.Snapshot { protocol = Registry.name cfg.protocol; values };
       }
 
 (* Periodic metric snapshots, re-armed until the loop deadline drops the
@@ -243,72 +209,120 @@ let emit_recovery cfg loop store ~ver ~latency ~replayed ~depth ~bytes_before =
       ("recovery.rollback_depth", float_of_int depth);
     ]
 
-let run_dg cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
-  let span name f = Span.with_ sctx name f in
+(* --- live adapters ---
+
+   On the live substrate the protocols differ only in how their stable
+   hooks map onto the Store, how a restarted incarnation reloads its
+   image, which version the telemetry carries and which metric counts a
+   recovery's rollback depth. An adapter supplies those; [run] does the
+   rest. *)
+
+type env = {
+  cfg : cfg;
+  loop : Loop.t;
+  store : Store.t;
+  span : string -> (unit -> unit) -> unit;
+  app : (Traffic.state, Traffic.msg) Types.app;
+}
+
+(* A running protocol instance as [run] sees it. [depth] names the
+   metric counting a recovery's rollback depth; [None] for protocols
+   that never roll surviving state back. *)
+type instance = {
+  recover : unit -> unit;
+  version : unit -> int;
+  epoch : unit -> int;
+  depth : string option;
+  inject : Traffic.msg -> unit;
+  metrics : unit -> Metrics.Scope.t;
+  finish : unit -> unit;
+  counters : unit -> (string * int) list;
+  state : unit -> Traffic.state;
+}
+
+(* The wire type is existential: each adapter fixes its own. *)
+type adapter = Adapter : (env -> 'w Transport.t -> instance) -> adapter
+
+module Instance (P : sig
+  include Protocol_intf.INSTANCE
+
+  val recover : ('s, 'm) t -> unit
+end) =
+struct
+  (* By default an instance versions its telemetry by incarnation and
+     keeps its epoch in the store's gen slot. *)
+  let make ?version ?epoch ?depth ?(finish = ignore) env p =
+    {
+      recover = (fun () -> P.recover p);
+      version = Option.value version ~default:(fun () -> env.cfg.gen);
+      epoch = Option.value epoch ~default:(fun () -> Store.load_gen env.store);
+      depth;
+      inject = P.inject p;
+      metrics = (fun () -> P.metrics p);
+      finish;
+      counters = (fun () -> P.counters p);
+      state = (fun () -> P.state p);
+    }
+end
+
+let restore env image = if env.cfg.gen > 0 then Some (image ()) else None
+
+let log_appended env entries =
+  env.span "store.log_flush" (fun () ->
+      List.iter (Store.append_log env.store) entries)
+
+let log_truncated env ~stable =
+  env.span "store.truncate" (fun () -> Store.truncate_log env.store ~stable)
+
+let checkpoint_recorded env ~position cp =
+  env.span "store.checkpoint" (fun () ->
+      Store.append_checkpoint env.store ~position cp)
+
+let checkpoints_discarded_after env ~position =
+  Store.discard_checkpoints_after env.store ~position
+
+let aux_recorded env aux =
+  env.span "store.tokens" (fun () -> Store.write_tokens env.store [ aux ])
+
+let live_dg_config =
+  {
+    Types.default_config with
+    checkpoint_interval = 1.0;
+    flush_interval = 0.25;
+    restart_delay = 0.3;
+    retransmit_lost = true;
+  }
+
+let damani_garg env net =
+  let store = env.store in
   let stable =
     {
-      Process.log_appended =
-        (fun entries ->
-          span "store.log_flush" (fun () ->
-              List.iter (Store.append_log store) entries));
-      log_truncated =
-        (fun ~stable ->
-          span "store.truncate" (fun () -> Store.truncate_log store ~stable));
-      checkpoint_recorded =
-        (fun ~position cp ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position cp));
-      checkpoints_discarded_after =
-        (fun ~position -> Store.discard_checkpoints_after store ~position);
+      Process.log_appended = log_appended env;
+      log_truncated = log_truncated env;
+      checkpoint_recorded = checkpoint_recorded env;
+      checkpoints_discarded_after = checkpoints_discarded_after env;
       tokens_logged =
         (fun tokens ->
-          span "store.tokens" (fun () -> Store.write_tokens store tokens));
+          env.span "store.tokens" (fun () -> Store.write_tokens store tokens));
     }
   in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      Some
-        {
-          Process.im_log = Store.load_log store;
-          im_checkpoints = Store.load_checkpoints store;
-          im_tokens = Store.load_tokens store;
-        }
+  let image () =
+    {
+      Process.im_log = Store.load_log store;
+      im_checkpoints = Store.load_checkpoints store;
+      im_tokens = Store.load_tokens store;
+    }
   in
   let p =
-    Process.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_dg_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
+    Process.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
+      ~id:env.cfg.me ~n:env.cfg.n ~config:live_dg_config ~stable
+      ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
-  Span.set_version sctx (fun () -> Process.version p);
-  Store.write_gen store cfg.gen;
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Process.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Process.metrics p in
-      emit_recovery cfg loop store ~ver:(Process.version p) ~latency
-        ~replayed:(Metrics.Scope.get m "replayed")
-        ~depth:(Metrics.Scope.get m "log_truncated")
-        ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> Process.version p)
-    (fun () -> Process.metrics p);
-  schedule_injections cfg loop (Process.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  Process.flush_now p;
-  final_snapshot cfg loop ~ver:(Process.version p) (Process.metrics p);
-  {
-    counters = Process.counters p;
-    digest = Traffic.digest (Process.state p);
-    epoch = Process.version p;
-  }
+  Store.write_gen store env.cfg.gen;
+  let version () = Process.version p in
+  let module I = Instance (Process) in
+  I.make env p ~version ~epoch:version ~depth:"log_truncated"
+    ~finish:(fun () -> Process.flush_now p)
 
 let live_pessimist_config =
   {
@@ -318,121 +332,57 @@ let live_pessimist_config =
     restart_delay = 0.3;
   }
 
-let run_pessimist cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
-  let span name f = Span.with_ sctx name f in
+let pessimistic env net =
+  let store = env.store in
   let stable =
     {
-      Pessimistic.log_appended =
-        (fun entries ->
-          span "store.log_flush" (fun () ->
-              List.iter (Store.append_log store) entries));
-      checkpoint_recorded =
-        (fun ~position s ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position s));
-      epoch_recorded = (fun epoch -> Store.write_gen store epoch);
+      Pessimistic.log_appended = log_appended env;
+      checkpoint_recorded = checkpoint_recorded env;
+      epoch_recorded = Store.write_gen store;
     }
   in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      Some
-        {
-          Pessimistic.im_log = Store.load_log store;
-          im_checkpoints = Store.load_checkpoints store;
-          im_epoch = Store.load_gen store;
-        }
+  let image () =
+    {
+      Pessimistic.im_log = Store.load_log store;
+      im_checkpoints = Store.load_checkpoints store;
+      im_epoch = Store.load_gen store;
+    }
   in
   let p =
-    Pessimistic.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_pessimist_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
+    Pessimistic.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
+      ~id:env.cfg.me ~n:env.cfg.n ~config:live_pessimist_config ~stable
+      ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
-  Span.set_version sctx (fun () -> cfg.gen);
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Pessimistic.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Pessimistic.metrics p in
-      (* The pessimistic baseline never rolls surviving state back. *)
-      emit_recovery cfg loop store ~ver:cfg.gen ~latency
-        ~replayed:(Metrics.Scope.get m "replayed")
-        ~depth:0 ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> cfg.gen)
-    (fun () -> Pessimistic.metrics p);
-  schedule_injections cfg loop (Pessimistic.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  final_snapshot cfg loop ~ver:cfg.gen (Pessimistic.metrics p);
-  {
-    counters = Pessimistic.counters p;
-    digest = Traffic.digest (Pessimistic.state p);
-    epoch = Store.load_gen store;
-  }
+  let module I = Instance (Pessimistic) in
+  I.make env p
 
 let live_sender_config =
   { Sender_based.checkpoint_interval = 1.0; restart_delay = 0.3 }
 
-let run_sender cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
-  let span name f = Span.with_ sctx name f in
+(* Retransmissions arrive asynchronously after the recovery broadcast,
+   so [replayed] counts only what was in by the time recover returned;
+   peers never roll back. *)
+let sender_based env net =
+  let store = env.store in
   let stable =
     {
-      Sender_based.checkpoint_recorded =
-        (fun ~position ck ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position ck));
-      epoch_recorded = (fun epoch -> Store.write_gen store epoch);
+      Sender_based.checkpoint_recorded = checkpoint_recorded env;
+      epoch_recorded = Store.write_gen store;
     }
   in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      Some
-        {
-          Sender_based.im_checkpoints = Store.load_checkpoints store;
-          im_epoch = Store.load_gen store;
-        }
+  let image () =
+    {
+      Sender_based.im_checkpoints = Store.load_checkpoints store;
+      im_epoch = Store.load_gen store;
+    }
   in
   let p =
-    Sender_based.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_sender_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
+    Sender_based.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
+      ~id:env.cfg.me ~n:env.cfg.n ~config:live_sender_config ~stable
+      ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
-  Span.set_version sctx (fun () -> cfg.gen);
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Sender_based.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Sender_based.metrics p in
-      (* Retransmissions arrive asynchronously after the broadcast, so
-         [replayed] here counts only what was in by the time recover
-         returned; peers never roll back (depth 0). *)
-      emit_recovery cfg loop store ~ver:cfg.gen ~latency
-        ~replayed:(Metrics.Scope.get m "replayed")
-        ~depth:0 ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> cfg.gen)
-    (fun () -> Sender_based.metrics p);
-  schedule_injections cfg loop (Sender_based.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  final_snapshot cfg loop ~ver:cfg.gen (Sender_based.metrics p);
-  {
-    counters = Sender_based.counters p;
-    digest = Traffic.digest (Sender_based.state p);
-    epoch = Store.load_gen store;
-  }
+  let module I = Instance (Sender_based) in
+  I.make env p
 
 let live_sy_config =
   {
@@ -441,220 +391,134 @@ let live_sy_config =
     restart_delay = 0.3;
   }
 
-let run_sy cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
-  let span name f = Span.with_ sctx name f in
+let strom_yemini env net =
+  let store = env.store in
   (* The announcement table is small and rewritten whole on every change
      (the tokens file is a single-blob slot, like D-G's token log). *)
-  let announcements = ref (Store.load_tokens store : Strom_yemini.announcement list) in
+  let announcements =
+    ref (Store.load_tokens store : Strom_yemini.announcement list)
+  in
   let stable =
     {
-      Strom_yemini.log_flushed =
-        (fun entries ->
-          span "store.log_flush" (fun () ->
-              List.iter (Store.append_log store) entries));
-      log_truncated =
-        (fun stop ->
-          span "store.truncate" (fun () -> Store.truncate_log store ~stable:stop));
-      checkpoint_recorded =
-        (fun ~position cp ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position cp));
-      checkpoints_discarded_after =
-        (fun ~position -> Store.discard_checkpoints_after store ~position);
+      Strom_yemini.log_flushed = log_appended env;
+      log_truncated = (fun stable -> log_truncated env ~stable);
+      checkpoint_recorded = checkpoint_recorded env;
+      checkpoints_discarded_after = checkpoints_discarded_after env;
       announcement_recorded =
         (fun a ->
           announcements := a :: !announcements;
-          span "store.tokens" (fun () ->
+          env.span "store.tokens" (fun () ->
               Store.write_tokens store !announcements));
     }
   in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      Some
-        {
-          Strom_yemini.im_log = Store.load_log store;
-          im_checkpoints = Store.load_checkpoints store;
-          im_announcements = !announcements;
-        }
+  let image () =
+    {
+      Strom_yemini.im_log = Store.load_log store;
+      im_checkpoints = Store.load_checkpoints store;
+      im_announcements = !announcements;
+    }
   in
   let p =
-    Strom_yemini.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_sy_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
+    Strom_yemini.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
+      ~id:env.cfg.me ~n:env.cfg.n ~config:live_sy_config ~stable
+      ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
-  Span.set_version sctx (fun () -> Strom_yemini.incarnation p);
-  Store.write_gen store cfg.gen;
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Strom_yemini.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Strom_yemini.metrics p in
-      emit_recovery cfg loop store
-        ~ver:(Strom_yemini.incarnation p)
-        ~latency
-        ~replayed:(Metrics.Scope.get m "replayed")
-        ~depth:(Metrics.Scope.get m "log_truncated")
-        ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> Strom_yemini.incarnation p)
-    (fun () -> Strom_yemini.metrics p);
-  schedule_injections cfg loop (Strom_yemini.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  final_snapshot cfg loop
-    ~ver:(Strom_yemini.incarnation p)
-    (Strom_yemini.metrics p);
-  {
-    counters = Strom_yemini.counters p;
-    digest = Traffic.digest (Strom_yemini.state p);
-    epoch = Strom_yemini.incarnation p;
-  }
+  Store.write_gen store env.cfg.gen;
+  let version () = Strom_yemini.incarnation p in
+  let module I = Instance (Strom_yemini) in
+  I.make env p ~version ~epoch:version ~depth:"log_truncated"
 
 let live_cpo_config =
   { Checkpoint_only.checkpoint_interval = 1.0; restart_delay = 0.3 }
 
-let run_cpo cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
-  let span name f = Span.with_ sctx name f in
+(* No log, so nothing replays; the cost of a recovery is the work it
+   forfeits. *)
+let checkpoint_only env net =
+  let store = env.store in
   let stable =
     {
-      Checkpoint_only.checkpoint_recorded =
-        (fun ~position cp ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position cp));
-      checkpoints_discarded_after =
-        (fun ~position -> Store.discard_checkpoints_after store ~position);
-      aux_recorded =
-        (fun aux ->
-          span "store.tokens" (fun () -> Store.write_tokens store [ aux ]));
+      Checkpoint_only.checkpoint_recorded = checkpoint_recorded env;
+      checkpoints_discarded_after = checkpoints_discarded_after env;
+      aux_recorded = aux_recorded env;
     }
   in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      let aux =
-        match (Store.load_tokens store : Checkpoint_only.aux list) with
-        | a :: _ -> a
-        | [] ->
-            {
-              Checkpoint_only.ax_epoch = 0;
-              ax_floor = Array.make cfg.n max_int;
-              ax_peer_epoch = Array.make cfg.n 0;
-            }
-      in
-      Some
-        {
-          Checkpoint_only.im_checkpoints = Store.load_checkpoints store;
-          im_aux = aux;
-        }
+  let image () =
+    let aux =
+      match (Store.load_tokens store : Checkpoint_only.aux list) with
+      | a :: _ -> a
+      | [] ->
+          {
+            Checkpoint_only.ax_epoch = 0;
+            ax_floor = Array.make env.cfg.n max_int;
+            ax_peer_epoch = Array.make env.cfg.n 0;
+          }
+    in
+    {
+      Checkpoint_only.im_checkpoints = Store.load_checkpoints store;
+      im_aux = aux;
+    }
   in
   let p =
-    Checkpoint_only.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_cpo_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
+    Checkpoint_only.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
+      ~id:env.cfg.me ~n:env.cfg.n ~config:live_cpo_config ~stable
+      ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
-  Span.set_version sctx (fun () -> cfg.gen);
-  Store.write_gen store cfg.gen;
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Checkpoint_only.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Checkpoint_only.metrics p in
-      (* No log, so nothing replays; the cost is the work forfeited. *)
-      emit_recovery cfg loop store ~ver:cfg.gen ~latency ~replayed:0
-        ~depth:(Metrics.Scope.get m "lost_states")
-        ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> cfg.gen)
-    (fun () -> Checkpoint_only.metrics p);
-  schedule_injections cfg loop (Checkpoint_only.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  final_snapshot cfg loop ~ver:cfg.gen (Checkpoint_only.metrics p);
-  {
-    counters = Checkpoint_only.counters p;
-    digest = Traffic.digest (Checkpoint_only.state p);
-    epoch = Store.load_gen store;
-  }
+  Store.write_gen store env.cfg.gen;
+  let module I = Instance (Checkpoint_only) in
+  I.make env p ~depth:"lost_states"
 
 let live_koo_config =
   { Coordinated.checkpoint_interval = 1.0; restart_delay = 0.3 }
 
-let run_koo cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
-  let span name f = Span.with_ sctx name f in
+let coordinated env net =
+  let store = env.store in
   let stable =
     {
       Coordinated.snapshot_committed =
         (fun sn ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position:sn.Coordinated.sn_round sn));
-      aux_recorded =
-        (fun aux ->
-          span "store.tokens" (fun () -> Store.write_tokens store [ aux ]));
+          checkpoint_recorded env ~position:sn.Coordinated.sn_round sn);
+      aux_recorded = aux_recorded env;
     }
   in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      let committed =
-        match Store.load_checkpoints store with
-        | (sn, _) :: _ -> sn
-        | [] -> { Coordinated.sn_state = app.Types.init cfg.me; sn_round = 0 }
-      in
-      let aux =
-        match (Store.load_tokens store : Coordinated.aux list) with
-        | a :: _ -> a
-        | [] ->
-            {
-              Coordinated.ax_epoch = 0;
-              ax_peer_epoch = Array.make cfg.n 0;
-              ax_round = 0;
-            }
-      in
-      Some { Coordinated.im_committed = committed; im_aux = aux }
+  let image () =
+    let committed =
+      match Store.load_checkpoints store with
+      | (sn, _) :: _ -> sn
+      | [] ->
+          { Coordinated.sn_state = env.app.Types.init env.cfg.me; sn_round = 0 }
+    in
+    let aux =
+      match (Store.load_tokens store : Coordinated.aux list) with
+      | a :: _ -> a
+      | [] ->
+          {
+            Coordinated.ax_epoch = 0;
+            ax_peer_epoch = Array.make env.cfg.n 0;
+            ax_round = 0;
+          }
+    in
+    { Coordinated.im_committed = committed; im_aux = aux }
   in
   let p =
-    Coordinated.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_koo_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
+    Coordinated.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
+      ~id:env.cfg.me ~n:env.cfg.n ~config:live_koo_config ~stable
+      ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
-  Span.set_version sctx (fun () -> cfg.gen);
-  Store.write_gen store cfg.gen;
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Coordinated.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Coordinated.metrics p in
-      emit_recovery cfg loop store ~ver:cfg.gen ~latency ~replayed:0
-        ~depth:(Metrics.Scope.get m "lost_states")
-        ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> cfg.gen)
-    (fun () -> Coordinated.metrics p);
-  schedule_injections cfg loop (Coordinated.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  final_snapshot cfg loop ~ver:cfg.gen (Coordinated.metrics p);
-  {
-    counters = Coordinated.counters p;
-    digest = Traffic.digest (Coordinated.state p);
-    epoch = Store.load_gen store;
-  }
+  Store.write_gen store env.cfg.gen;
+  let module I = Instance (Coordinated) in
+  I.make env p ~depth:"lost_states"
+
+(* The live-adapter table: the protocols the worker can host. *)
+let adapter = function
+  | Registry.Damani_garg -> Some (Adapter damani_garg)
+  | Pessimistic -> Some (Adapter pessimistic)
+  | Sender_based -> Some (Adapter sender_based)
+  | Strom_yemini -> Some (Adapter strom_yemini)
+  | Checkpoint_only -> Some (Adapter checkpoint_only)
+  | Coordinated -> Some (Adapter coordinated)
+  | Damani_garg_no_hold | Peterson_kearns -> None
+
+let has_adapter id = Option.is_some (adapter id)
 
 (* Wire-level telemetry rides the same Snapshot machinery as protocol
    metrics, in separate link.*-valued records: the recovery profiler
@@ -670,9 +534,8 @@ let schedule_link_snapshots cfg loop (link : _ Link.t) =
     Loop.schedule loop ~delay:snapshot_period tick
   end
 
-(* Each protocol branch builds its own link so the transport's payload
-   type is fixed per branch (DG and the pessimistic baseline have
-   different wire types). *)
+(* [run] is handed the link's transport at the payload type its adapter
+   fixes. *)
 let with_net cfg loop run =
   let factory =
     match cfg.link with
@@ -701,29 +564,67 @@ let with_net cfg loop run =
   Store.close store;
   link.Link.close ()
 
+(* The generic driver: build the protocol through its adapter (reloading
+   the stable image on a restart), recover, run to the deadline. *)
+let run cfg loop sctx (Adapter start) =
+  with_net cfg loop @@ fun net store ->
+  let recovering = cfg.gen > 0 in
+  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
+  let bytes_before = Store.bytes_read store in
+  let env =
+    {
+      cfg;
+      loop;
+      store;
+      span = (fun name f -> Span.with_ sctx name f);
+      app = Traffic.app ~n:cfg.n cfg.pattern;
+    }
+  in
+  let p = start env (span_transport sctx net) in
+  Span.set_version sctx p.version;
+  (match rec_span with
+  | None -> ()
+  | Some sp ->
+      p.recover ();
+      let latency = Span.finish sctx sp in
+      let m = p.metrics () in
+      emit_recovery cfg loop store ~ver:(p.version ()) ~latency
+        ~replayed:(Metrics.Scope.get m "replayed")
+        ~depth:(Option.fold ~none:0 ~some:(Metrics.Scope.get m) p.depth)
+        ~bytes_before);
+  schedule_snapshots cfg loop ~ver:p.version p.metrics;
+  schedule_injections cfg loop p.inject;
+  Loop.run loop ~until:(cfg.duration +. cfg.settle);
+  p.finish ();
+  final_snapshot cfg loop ~ver:(p.version ()) (p.metrics ());
+  {
+    counters = p.counters ();
+    digest = Traffic.digest (p.state ());
+    epoch = p.epoch ();
+  }
+
 let main cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let adapter =
+    match adapter cfg.protocol with
+    | Some a -> a
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Worker: %s does not run live"
+             (Registry.name cfg.protocol))
+  in
   (* Strom-Yemini assumes FIFO channels; zero jitter keeps the datagram
      mesh order-preserving enough for the assumption to hold in practice
      (kernel AF_UNIX queues are FIFO per socket pair). *)
   let cfg =
-    match cfg.protocol with
-    | Sy -> { cfg with jitter = (0.0, 0.0) }
-    | _ -> cfg
+    if (Registry.entry cfg.protocol).fifo then { cfg with jitter = (0.0, 0.0) }
+    else cfg
   in
   let tracer, trace_oc = open_trace cfg in
   let loop = Loop.create ~tracer ~base:cfg.base () in
   let sctx =
     Span.create ~tracer ~now:(fun () -> Loop.now loop) ~pid:cfg.me ()
   in
-  (match cfg.protocol with
-  | Dg -> with_net cfg loop (fun net store -> run_dg cfg loop sctx net store)
-  | Pessimist ->
-      with_net cfg loop (fun net store -> run_pessimist cfg loop sctx net store)
-  | Sender ->
-      with_net cfg loop (fun net store -> run_sender cfg loop sctx net store)
-  | Sy -> with_net cfg loop (fun net store -> run_sy cfg loop sctx net store)
-  | Cpo -> with_net cfg loop (fun net store -> run_cpo cfg loop sctx net store)
-  | Koo -> with_net cfg loop (fun net store -> run_koo cfg loop sctx net store));
+  run cfg loop sctx adapter;
   Trace.close tracer;
   Option.iter close_out_noerr trace_oc

@@ -11,27 +11,16 @@
 
 module Traffic = Optimist_workload.Traffic
 
-type protocol =
-  | Dg  (** Damani-Garg, the paper's protocol *)
-  | Pessimist  (** pessimistic (synchronous) logging *)
-  | Sender  (** sender-based logging, Johnson-Zwaenepoel *)
-  | Sy  (** Strom-Yemini optimistic recovery *)
-  | Cpo  (** uncoordinated checkpointing, no log (domino) *)
-  | Koo  (** coordinated checkpointing, Koo-Toueg *)
+type dg = Dg
 
-val protocol_name : protocol -> string
+val live_check_rules : dg -> string list
+(** [live_check_rules Dg] is the registry's live rule set for
+    Damani-Garg. A shim kept for perfbench/bench.ml, its one caller;
+    everything else reads {!Optimist_protocols.Registry.entry}. *)
 
-val protocol_of_string : string -> protocol option
-(** Accepts the canonical names plus aliases ([damani-garg], [sender],
-    [sb], [sy], [cpo], [koo], [koo-toueg], [pessimistic]). *)
-
-val all_protocols : protocol list
-(** Every protocol the live runtime can host, [Dg] first. *)
-
-val live_check_rules : protocol -> string list
-(** The sanitizer rules this protocol's merged live trace is expected to
-    satisfy: the full battery for [Dg], the baseline's declared
-    [check_rules] subset otherwise. *)
+val has_adapter : Optimist_protocols.Registry.id -> bool
+(** Whether the worker can host the protocol. Exactly the registry's
+    {!Optimist_protocols.Registry.live} ids have an adapter. *)
 
 type telemetry =
   | Off  (** null recorder: instrumentation short-circuits *)
@@ -45,7 +34,7 @@ type cfg = {
   dir : string;  (** run directory: sockets, stores, traces *)
   me : int;
   n : int;
-  protocol : protocol;
+  protocol : Optimist_protocols.Registry.id;  (** one of the live ids *)
   gen : int;  (** incarnation: 0 on first spawn, +1 per restart *)
   seed : int64;
   base : float;  (** shared [Unix.gettimeofday] origin of the run *)
@@ -76,4 +65,5 @@ val store_dir : dir:string -> me:int -> string
 val main : cfg -> unit
 (** Run the worker to its deadline and write the stats file. Blocks;
     meant to be the body of a forked child. Exits 1 if the peer sockets
-    do not appear. *)
+    do not appear; raises [Invalid_argument] for a protocol without a
+    live adapter. *)

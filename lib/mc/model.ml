@@ -9,12 +9,9 @@ module Oracle = Optimist_oracle.Oracle
 module Traffic = Optimist_workload.Traffic
 module Check = Optimist_check.Check
 module Runner = Optimist_runner.Runner
+module Registry = Optimist_protocols.Registry
+module Protocol_intf = Optimist_protocols.Protocol_intf
 module Pessimistic = Optimist_protocols.Pessimistic
-module Sender_based = Optimist_protocols.Sender_based
-module Strom_yemini = Optimist_protocols.Strom_yemini
-module Peterson_kearns = Optimist_protocols.Peterson_kearns
-module Checkpoint_only = Optimist_protocols.Checkpoint_only
-module Coordinated = Optimist_protocols.Coordinated
 
 (* A model-checking configuration: one small protocol instance plus a
    traffic script and a crash budget. Everything the checker explores is
@@ -77,8 +74,8 @@ let validate cfg =
           invalid_arg
             (Printf.sprintf "Model: mutation %S applies to %s, not %s"
                cfg.mutation
-               (Runner.protocol_name m.mu_protocol)
-               (Runner.protocol_name cfg.protocol))
+               (Registry.name m.mu_protocol)
+               (Registry.name cfg.protocol))
 
 (* One rebuildable execution of the configuration. The checker replays
    decisions against a fresh instance for every explored schedule
@@ -149,7 +146,7 @@ let build_damani ?sink cfg ~hold =
   let oracle = Oracle.create ~n:cfg.n in
   let trace = Trace.create () in
   let monitor =
-    Check.Monitor.create ~rules:(Runner.check_rules cfg.protocol) ()
+    Check.Monitor.create ~rules:(Registry.entry cfg.protocol).sim_rules ()
   in
   Trace.attach trace (Check.Monitor.sink monitor);
   (match sink with Some s -> Trace.attach trace s | None -> ());
@@ -196,107 +193,54 @@ let build_damani ?sink cfg ~hold =
         sanitizer @ ground_truth);
   }
 
-(* Baselines share the runner's uniform protocol surface; only the
-   per-module closures differ. *)
-let build_baseline (type w p) ?sink cfg ~name
-    ~(make_net : Engine.t -> Network.config -> w)
-    ~(create :
-       engine:Engine.t ->
-       net:w ->
-       app:(Traffic.state, Traffic.msg) Types.app ->
-       id:int ->
-       n:int ->
-       metrics:Metrics.Scope.t ->
-       next_uid:(unit -> int) ->
-       unit ->
-       p) ~(inject : p -> Traffic.msg -> unit) ~(fail : p -> unit)
-    ~(alive : p -> bool) ~(state : p -> Traffic.state) =
-  let engine = Engine.create ~seed:1L () in
+(* The pessimistic logger runs with short periods here (and carries the
+   ack-before-fsync mutant); every other baseline keeps its defaults. *)
+let mc_baseline cfg m =
+  if cfg.protocol <> Runner.Pessimistic then m
+  else
+    (module struct
+      include Pessimistic
+
+      let default_config = mc_pessimistic_config ~mutation:cfg.mutation
+    end : Protocol_intf.SIM)
+
+let build_baseline ?sink cfg m =
   let trace = Trace.create () in
   let monitor =
-    Check.Monitor.create ~rules:(Runner.check_rules cfg.protocol) ()
+    Check.Monitor.create ~rules:(Registry.entry cfg.protocol).sim_rules ()
   in
   Trace.attach trace (Check.Monitor.sink monitor);
   (match sink with Some s -> Trace.attach trace s | None -> ());
-  Engine.set_tracer engine trace;
-  let net = make_net engine (mc_net_config ~n:cfg.n ~dup:0.0) in
-  let registry = Metrics.registry () in
-  let uid = ref 0 in
-  let next_uid () = incr uid; !uid in
-  let app = Traffic.app ~n:cfg.n Traffic.Ring in
-  let procs =
-    Array.init cfg.n (fun id ->
-        let metrics =
-          Metrics.Scope.create ~registry ~protocol:name ~process:id ()
-        in
-        create ~engine ~net ~app ~id ~n:cfg.n ~metrics ~next_uid ())
+  let b =
+    Runner.baseline (mc_baseline cfg m) ~name:(Registry.name cfg.protocol)
+      ~seed:1L ~trace
+      ~net_config:(mc_net_config ~n:cfg.n ~dup:0.0)
+      ~pattern:Traffic.Ring ~n:cfg.n
   in
   for i = 0 to cfg.msgs - 1 do
     let pid = i mod cfg.n in
     let msg = Traffic.fresh ~key:(i + 1) ~hops:cfg.hops in
     ignore
-      (Engine.schedule_at engine ~label:(inject_label pid) 0.0 (fun () ->
-           inject procs.(pid) msg))
+      (Engine.schedule_at b.engine ~label:(inject_label pid) 0.0 (fun () ->
+           b.inject pid msg))
   done;
   {
-    i_engine = engine;
-    i_alive = (fun pid -> alive procs.(pid));
-    i_crash = (fun pid -> fail procs.(pid));
+    i_engine = b.engine;
+    i_alive = b.alive;
+    i_crash = b.fail;
     i_digest =
       (fun () ->
-        Array.fold_left
-          (fun acc p -> Hashtbl.hash (acc, Traffic.digest (state p), alive p))
-          0 procs);
+        let acc = ref 0 in
+        for pid = 0 to cfg.n - 1 do
+          acc := Hashtbl.hash (!acc, b.digest pid, b.alive pid)
+        done;
+        !acc);
     i_finish =
       (fun () -> List.map violation_string (Check.Monitor.finish monitor));
   }
 
 let build ?sink cfg =
   validate cfg;
-  match cfg.protocol with
-  | Runner.Damani_garg -> build_damani ?sink cfg ~hold:true
-  | Runner.Damani_garg_no_hold -> build_damani ?sink cfg ~hold:false
-  | Runner.Pessimistic ->
-      build_baseline ?sink cfg ~name:"pessimistic"
-        ~make_net:Pessimistic.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Pessimistic.create ~engine ~net ~app ~id ~n
-            ~config:(mc_pessimistic_config ~mutation:cfg.mutation)
-            ~metrics ~next_uid ())
-        ~inject:Pessimistic.inject ~fail:Pessimistic.fail
-        ~alive:Pessimistic.alive ~state:Pessimistic.state
-  | Runner.Sender_based ->
-      build_baseline ?sink cfg ~name:"sender-based"
-        ~make_net:Sender_based.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Sender_based.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Sender_based.inject ~fail:Sender_based.fail
-        ~alive:Sender_based.alive ~state:Sender_based.state
-  | Runner.Strom_yemini ->
-      build_baseline ?sink cfg ~name:"strom-yemini"
-        ~make_net:Strom_yemini.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Strom_yemini.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Strom_yemini.inject ~fail:Strom_yemini.fail
-        ~alive:Strom_yemini.alive ~state:Strom_yemini.state
-  | Runner.Peterson_kearns ->
-      build_baseline ?sink cfg ~name:"peterson-kearns"
-        ~make_net:Peterson_kearns.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Peterson_kearns.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Peterson_kearns.inject ~fail:Peterson_kearns.fail
-        ~alive:Peterson_kearns.alive ~state:Peterson_kearns.state
-  | Runner.Checkpoint_only ->
-      build_baseline ?sink cfg ~name:"checkpoint-only"
-        ~make_net:Checkpoint_only.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Checkpoint_only.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Checkpoint_only.inject ~fail:Checkpoint_only.fail
-        ~alive:Checkpoint_only.alive ~state:Checkpoint_only.state
-  | Runner.Coordinated ->
-      build_baseline ?sink cfg ~name:"coordinated"
-        ~make_net:Coordinated.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Coordinated.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Coordinated.inject ~fail:Coordinated.fail
-        ~alive:Coordinated.alive ~state:Coordinated.state
+  match (Registry.entry cfg.protocol).sim with
+  | Registry.Core { hold } -> build_damani ?sink cfg ~hold
+  | Registry.Baseline m -> build_baseline ?sink cfg m

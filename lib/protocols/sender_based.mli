@@ -108,5 +108,6 @@ val counters : ('s, 'm) t -> (string * int) list
 
 val check_rules : string list
 (** Trace-sanitizer rule ids (see [optimist.check]) that are meaningful
-    for this baseline; [Runner.check_rules] consults this under
-    [recsim run --check]. *)
+    for this baseline; its {!Registry} entry takes it as the protocol's
+    rule set for [recsim run --check] (and for live traces, where the
+    protocol runs live). *)

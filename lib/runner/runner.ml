@@ -10,14 +10,10 @@ module Oracle = Optimist_oracle.Oracle
 module Schedule = Optimist_workload.Schedule
 module Traffic = Optimist_workload.Traffic
 module Check = Optimist_check.Check
-module Pessimistic = Optimist_protocols.Pessimistic
-module Sender_based = Optimist_protocols.Sender_based
-module Strom_yemini = Optimist_protocols.Strom_yemini
-module Peterson_kearns = Optimist_protocols.Peterson_kearns
-module Checkpoint_only = Optimist_protocols.Checkpoint_only
-module Coordinated = Optimist_protocols.Coordinated
+module Registry = Optimist_protocols.Registry
+module Protocol_intf = Optimist_protocols.Protocol_intf
 
-type protocol =
+type protocol = Registry.id =
   | Damani_garg
   | Damani_garg_no_hold
   | Pessimistic
@@ -26,31 +22,6 @@ type protocol =
   | Peterson_kearns
   | Checkpoint_only
   | Coordinated
-
-let all_protocols =
-  [
-    Damani_garg;
-    Damani_garg_no_hold;
-    Pessimistic;
-    Sender_based;
-    Strom_yemini;
-    Peterson_kearns;
-    Checkpoint_only;
-    Coordinated;
-  ]
-
-let protocol_name = function
-  | Damani_garg -> "damani-garg"
-  | Damani_garg_no_hold -> "damani-garg-nohold"
-  | Pessimistic -> "pessimistic"
-  | Sender_based -> "sender-based"
-  | Strom_yemini -> "strom-yemini"
-  | Peterson_kearns -> "peterson-kearns"
-  | Checkpoint_only -> "checkpoint-only"
-  | Coordinated -> "coordinated"
-
-let protocol_of_string s =
-  List.find_opt (fun p -> protocol_name p = s) all_protocols
 
 type check_mode = No_check | Check | Check_strict
 
@@ -88,18 +59,6 @@ let default_params =
     trace = Trace.null;
     check = No_check;
   }
-
-(* Which sanitizer rules a protocol's trace is expected to satisfy. The
-   Damani-Garg variants are the paper's protocol and carry every rule;
-   each baseline declares its own applicable subset. *)
-let check_rules = function
-  | Damani_garg | Damani_garg_no_hold -> Check.all_ids
-  | Pessimistic -> Optimist_protocols.Pessimistic.check_rules
-  | Sender_based -> Optimist_protocols.Sender_based.check_rules
-  | Strom_yemini -> Optimist_protocols.Strom_yemini.check_rules
-  | Peterson_kearns -> Optimist_protocols.Peterson_kearns.check_rules
-  | Checkpoint_only -> Optimist_protocols.Checkpoint_only.check_rules
-  | Coordinated -> Optimist_protocols.Coordinated.check_rules
 
 type report = {
   r_protocol : string;
@@ -145,7 +104,7 @@ let net_config params =
   }
 
 (* The Damani-Garg variants run through System (they share lib/core). *)
-let run_damani params ~hold ~monitor =
+let run_damani params ~name ~hold ~monitor =
   let oracle = if params.with_oracle then Some (Oracle.create ~n:params.n) else None in
   let tracer = Option.map Oracle.tracer oracle in
   let config = { Types.default_config with Types.hold_undeliverable = hold } in
@@ -153,7 +112,7 @@ let run_damani params ~hold ~monitor =
   let registry = Metrics.registry () in
   let sys =
     System.create ~seed:params.seed ~net_config:(net_config params) ~config
-      ?tracer ~trace:params.trace ~registry ~n:params.n ~app ()
+      ?tracer ~trace:params.trace ~registry ~protocol:name ~n:params.n ~app ()
   in
   let schedule = Schedule.make ~injections:(injections params) ~faults:params.faults in
   Schedule.apply schedule
@@ -178,9 +137,7 @@ let run_damani params ~hold ~monitor =
       0 (System.processes sys)
   in
   {
-    r_protocol =
-      (if hold then protocol_name Damani_garg
-       else protocol_name Damani_garg_no_hold);
+    r_protocol = name;
     r_params = params;
     r_counters = merge_counters ([ ("history_records", history_records) ] :: dumps);
     r_net = Counters.to_list (Network.stats (System.network sys));
@@ -201,103 +158,76 @@ let run_damani params ~hold ~monitor =
     r_registry = registry;
   }
 
-(* Generic driver for the baselines, which share the same surface. *)
-let run_baseline (type w t) params ~name
-    ~(make_net : Engine.t -> Network.config -> w)
-    ~(create :
-       engine:Engine.t ->
-       net:w ->
-       app:(Traffic.state, Traffic.msg) Types.app ->
-       id:int ->
-       n:int ->
-       metrics:Metrics.Scope.t ->
-       next_uid:(unit -> int) ->
-       unit ->
-       t) ~(inject : t -> Traffic.msg -> unit) ~(fail : t -> unit)
-    ~(state : t -> Traffic.state) =
-  let engine = Engine.create ~seed:params.seed () in
-  Engine.set_tracer engine params.trace;
-  let net = make_net engine (net_config params) in
+type baseline = {
+  engine : Engine.t;
+  registry : Metrics.registry;
+  inject : int -> Traffic.msg -> unit;
+  fail : int -> unit;
+  alive : int -> bool;
+  digest : int -> int;
+}
+
+(* One generic driver for every baseline: the runner schedules its
+   workload on the result, the model checker its own. *)
+let baseline (module P : Protocol_intf.SIM) ~name ~seed ~trace ~net_config
+    ~pattern ~n =
+  let engine = Engine.create ~seed () in
+  Engine.set_tracer engine trace;
+  let net = P.make_net engine net_config in
   let registry = Metrics.registry () in
   let uid = ref 0 in
   let next_uid () = incr uid; !uid in
-  let app = Traffic.app ~n:params.n params.pattern in
+  let app = Traffic.app ~n pattern in
   let procs =
-    Array.init params.n (fun id ->
+    Array.init n (fun id ->
         let metrics =
           Metrics.Scope.create ~registry ~protocol:name ~process:id ()
         in
-        create ~engine ~net ~app ~id ~n:params.n ~metrics ~next_uid ())
+        P.create ~engine ~net ~app ~id ~n ~config:P.default_config ~metrics
+          ~next_uid ())
+  in
+  {
+    engine;
+    registry;
+    inject = (fun pid msg -> P.inject procs.(pid) msg);
+    fail = (fun pid -> P.fail procs.(pid));
+    alive = (fun pid -> P.alive procs.(pid));
+    digest = (fun pid -> Traffic.digest (P.state procs.(pid)));
+  }
+
+let run_baseline params ~name m =
+  let b =
+    baseline m ~name ~seed:params.seed ~trace:params.trace
+      ~net_config:(net_config params) ~pattern:params.pattern ~n:params.n
   in
   let schedule = Schedule.make ~injections:(injections params) ~faults:params.faults in
   Schedule.apply schedule
     ~inject:(fun ~at ~pid msg ->
-      ignore (Engine.schedule_at engine at (fun () -> inject procs.(pid) msg)))
+      ignore (Engine.schedule_at b.engine at (fun () -> b.inject pid msg)))
     ~crash:(fun ~at ~pid ->
-      ignore (Engine.schedule_at engine at (fun () -> fail procs.(pid))))
+      ignore (Engine.schedule_at b.engine at (fun () -> b.fail pid)))
     ~partition:(fun ~at:_ ~groups:_ -> ())
     ~heal:(fun ~at:_ -> ());
-  Engine.run engine;
+  Engine.run b.engine;
   {
     r_protocol = name;
     r_params = params;
-    r_counters = Metrics.totals registry;
+    r_counters = Metrics.totals b.registry;
     r_net = [];
-    r_digests = Array.to_list (Array.map (fun p -> Traffic.digest (state p)) procs);
-    r_events = Engine.events_fired engine;
-    r_virtual_end = Engine.now engine;
+    r_digests = List.init params.n b.digest;
+    r_events = Engine.events_fired b.engine;
+    r_virtual_end = Engine.now b.engine;
     r_oracle_stats = None;
     r_violations = [];
     r_check = [];
-    r_registry = registry;
+    r_registry = b.registry;
   }
 
 let dispatch params ~monitor =
-  match params.protocol with
-  | Damani_garg -> run_damani params ~hold:true ~monitor
-  | Damani_garg_no_hold -> run_damani params ~hold:false ~monitor
-  | Pessimistic ->
-      run_baseline params ~name:(protocol_name Pessimistic)
-        ~make_net:Pessimistic.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Pessimistic.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Pessimistic.inject ~fail:Pessimistic.fail
-        ~state:Pessimistic.state
-  | Sender_based ->
-      run_baseline params ~name:(protocol_name Sender_based)
-        ~make_net:Sender_based.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Sender_based.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Sender_based.inject ~fail:Sender_based.fail
-        ~state:Sender_based.state
-  | Strom_yemini ->
-      run_baseline params ~name:(protocol_name Strom_yemini)
-        ~make_net:Strom_yemini.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Strom_yemini.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Strom_yemini.inject ~fail:Strom_yemini.fail
-        ~state:Strom_yemini.state
-  | Peterson_kearns ->
-      run_baseline params ~name:(protocol_name Peterson_kearns)
-        ~make_net:Peterson_kearns.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Peterson_kearns.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Peterson_kearns.inject ~fail:Peterson_kearns.fail
-        ~state:Peterson_kearns.state
-  | Checkpoint_only ->
-      run_baseline params ~name:(protocol_name Checkpoint_only)
-        ~make_net:Checkpoint_only.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Checkpoint_only.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Checkpoint_only.inject ~fail:Checkpoint_only.fail
-        ~state:Checkpoint_only.state
-  | Coordinated ->
-      run_baseline params ~name:(protocol_name Coordinated)
-        ~make_net:Coordinated.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Coordinated.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Coordinated.inject ~fail:Coordinated.fail
-        ~state:Coordinated.state
+  let e = Registry.entry params.protocol in
+  match e.Registry.sim with
+  | Registry.Core { hold } -> run_damani params ~name:e.name ~hold ~monitor
+  | Registry.Baseline m -> run_baseline params ~name:e.name m
 
 let run params =
   match params.check with
@@ -309,7 +239,8 @@ let run params =
         if params.trace == Trace.null then Trace.create () else params.trace
       in
       let monitor =
-        Check.Monitor.create ~rules:(check_rules params.protocol) ()
+        Check.Monitor.create
+          ~rules:(Registry.entry params.protocol).sim_rules ()
       in
       Trace.attach trace (Check.Monitor.sink monitor);
       let r = dispatch { params with trace } ~monitor:(Some monitor) in

@@ -10,21 +10,17 @@ module Check = Optimist_check.Check
 module Schedule = Optimist_workload.Schedule
 module Traffic = Optimist_workload.Traffic
 
-type protocol =
-  | Damani_garg  (** the paper's protocol, lib/core *)
-  | Damani_garg_no_hold  (** ablation: deliverability hold disabled *)
+type protocol = Optimist_protocols.Registry.id =
+  | Damani_garg
+  | Damani_garg_no_hold
   | Pessimistic
   | Sender_based
   | Strom_yemini
   | Peterson_kearns
   | Checkpoint_only
-  | Coordinated  (** consistent checkpointing, Koo-Toueg style *)
-
-val all_protocols : protocol list
-
-val protocol_name : protocol -> string
-
-val protocol_of_string : string -> protocol option
+  | Coordinated
+(** The registry's protocol id; names, aliases and per-protocol facts
+    live in {!Optimist_protocols.Registry}. *)
 
 type check_mode =
   | No_check
@@ -32,11 +28,6 @@ type check_mode =
   | Check_strict
       (** same monitoring — the mode only signals to callers (the CLI)
           that warnings should also fail the run *)
-
-val check_rules : protocol -> string list
-(** The sanitizer rules this protocol's trace is expected to satisfy:
-    every rule for the Damani-Garg variants, the subset each baseline
-    declares ([check_rules] in its module) otherwise. *)
 
 type params = {
   protocol : protocol;
@@ -85,5 +76,31 @@ val counter : report -> string -> int
 (** 0 when absent. *)
 
 val run : params -> report
+(** Sanitizer rules, when checking, are the protocol's registry
+    [sim_rules]. *)
+
+type baseline = {
+  engine : Optimist_sim.Engine.t;
+  registry : Metrics.registry;
+  inject : int -> Traffic.msg -> unit;  (** pid, message *)
+  fail : int -> unit;
+  alive : int -> bool;
+  digest : int -> int;  (** application digest of a pid's state *)
+}
+(** [n] instances of a baseline wired to one engine and network, with
+    nothing scheduled yet. *)
+
+val baseline :
+  (module Optimist_protocols.Protocol_intf.SIM) ->
+  name:string ->
+  seed:int64 ->
+  trace:Trace.t ->
+  net_config:Network.config ->
+  pattern:Traffic.pattern ->
+  n:int ->
+  baseline
+(** The generic baseline driver behind {!run}, shared with the model
+    checker. Each process gets the module's [default_config] and a
+    metrics scope labelled [name]. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,6 +1,6 @@
 module Prng = Optimist_util.Prng
 module Json = Optimist_obs.Json
-module Worker = Optimist_live.Worker
+module Registry = Optimist_protocols.Registry
 
 (* One randomized fault scenario, decided entirely by (campaign seed,
    scenario index): everything a live run needs — size, traffic shape,
@@ -16,7 +16,7 @@ type partition = { pr_start : float; pr_stop : float; pr_island : int list }
 type t = {
   sc_seed : int64;
   sc_index : int;
-  sc_protocol : string;
+  sc_protocol : Registry.id;
   sc_n : int;
   sc_duration : float;
   sc_settle : float;
@@ -58,7 +58,7 @@ let generate ~seed ~index ~protocol =
      no such promise and a wire-level dup would trip their own
      duplicate-delivery rules through no protocol fault. *)
   let dup =
-    if protocol = "dg" && Prng.bool rng then round2 (Prng.float rng 0.05)
+    if protocol = Registry.Damani_garg && Prng.bool rng then round2 (Prng.float rng 0.05)
     else 0.0
   in
   let drop = if Prng.bool rng then round2 (Prng.float rng 0.05) else 0.0 in
@@ -95,9 +95,7 @@ let plan ~seed ~count ~protocols =
   if protocols = [] then invalid_arg "protocol list must not be empty";
   let protos = Array.of_list protocols in
   List.init count (fun index ->
-      generate ~seed ~index
-        ~protocol:
-          (Worker.protocol_name protos.(index mod Array.length protos)))
+      generate ~seed ~index ~protocol:protos.(index mod Array.length protos))
 
 (* --- shrinking ---
 
@@ -143,12 +141,16 @@ let shrink_candidates t =
 
 (* --- JSON round-trip --- *)
 
+(* Records and tokens carry the canonical name; any alias reads back, so
+   artifacts written with the older short live spellings still replay. *)
+let live_protocol = Registry.parse ~live:true
+
 let to_json t =
   Json.Obj
     [
       ("seed", Json.String (Int64.to_string t.sc_seed));
       ("index", Json.Int t.sc_index);
-      ("protocol", Json.String t.sc_protocol);
+      ("protocol", Json.String (Registry.name t.sc_protocol));
       ("n", Json.Int t.sc_n);
       ("duration", Json.Float t.sc_duration);
       ("settle", Json.Float t.sc_settle);
@@ -186,6 +188,7 @@ let of_json j =
     let* seed = Int64.of_string_opt seed in
     let* index = field "index" Json.to_int in
     let* protocol = field "protocol" Json.string_value in
+    let* protocol = Result.to_option (live_protocol protocol) in
     let* n = field "n" Json.to_int in
     let* duration = field "duration" Json.to_float in
     let* settle = field "settle" Json.to_float in
@@ -245,7 +248,7 @@ let of_json j =
   | None -> Error "malformed scenario record"
 
 let replay_token t =
-  Printf.sprintf "%Ld:%d:%s" t.sc_seed t.sc_index t.sc_protocol
+  Printf.sprintf "%Ld:%d:%s" t.sc_seed t.sc_index (Registry.name t.sc_protocol)
 
 (* A replay token regenerates the scenario from scratch; a shrunk
    (minimal) scenario is not reachable from any token, so it is replayed
@@ -263,13 +266,10 @@ let of_token s =
     match String.split_on_char ':' s with
     | [ seed; index; protocol ] -> (
         match (Int64.of_string_opt seed, int_of_string_opt index) with
-        | Some seed, Some index when index >= 0 -> (
-            match Worker.protocol_of_string protocol with
-            | None ->
-                Error
-                  (Printf.sprintf "unknown protocol %S in replay token" protocol)
-            | Some p ->
-                Ok (generate ~seed ~index ~protocol:(Worker.protocol_name p)))
+        | Some seed, Some index when index >= 0 ->
+            Result.map
+              (fun protocol -> generate ~seed ~index ~protocol)
+              (live_protocol protocol)
         | _ ->
             Error
               (Printf.sprintf "expected SEED:INDEX:PROTOCOL or a scenario file, got %S" s)

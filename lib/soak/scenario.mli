@@ -14,7 +14,7 @@ type partition = { pr_start : float; pr_stop : float; pr_island : int list }
 type t = {
   sc_seed : int64;  (** campaign seed the scenario was drawn from *)
   sc_index : int;
-  sc_protocol : string;  (** canonical live-protocol name *)
+  sc_protocol : Optimist_protocols.Registry.id;  (** one of the live ids *)
   sc_n : int;
   sc_duration : float;
   sc_settle : float;
@@ -27,10 +27,11 @@ type t = {
   sc_partitions : partition list;
 }
 
-val generate : seed:int64 -> index:int -> protocol:string -> t
+val generate : seed:int64 -> index:int -> protocol:Optimist_protocols.Registry.id -> t
 (** Deterministic: equal inputs yield equal records. *)
 
-val plan : seed:int64 -> count:int -> protocols:Optimist_live.Worker.protocol list -> t list
+val plan :
+  seed:int64 -> count:int -> protocols:Optimist_protocols.Registry.id list -> t list
 (** [count] scenarios cycling through [protocols] (index [i] gets
     protocol [i mod length]). Raises [Invalid_argument] on an empty
     protocol list or [count < 1]. *)
@@ -46,8 +47,8 @@ val shrink_candidates : t -> t list
     scenario is already minimal. *)
 
 val to_json : t -> Optimist_obs.Json.t
-(** Deterministic single-line encoding; round-trips through
-    {!of_json}. *)
+(** Deterministic single-line encoding, with the protocol's canonical
+    name; round-trips through {!of_json}, which accepts any alias. *)
 
 val of_json : Optimist_obs.Json.t -> (t, string) result
 

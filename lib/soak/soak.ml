@@ -1,4 +1,5 @@
 module Worker = Optimist_live.Worker
+module Registry = Optimist_protocols.Registry
 module Supervisor = Optimist_live.Supervisor
 module Livenet = Optimist_live.Livenet
 module Check = Optimist_check.Check
@@ -47,42 +48,37 @@ let oracle_check ~crashes merged =
   else None
 
 let supervisor_cfg ~dir (s : Scenario.t) =
-  match Worker.protocol_of_string s.Scenario.sc_protocol with
-  | None ->
-      Error (Printf.sprintf "unknown protocol %S" s.Scenario.sc_protocol)
-  | Some protocol ->
-      Ok
-        {
-          Supervisor.dir;
-          n = s.sc_n;
-          protocol;
-          seed = Scenario.run_seed s;
-          duration = s.sc_duration;
-          settle = s.sc_settle;
-          rate = s.sc_rate;
-          hops = s.sc_hops;
-          pattern = Traffic.Uniform;
-          faults =
-            List.map (fun k -> (k.Scenario.kl_at, k.Scenario.kl_pid)) s.sc_kills;
-          net_faults =
-            {
-              Livenet.drop_rate = s.sc_drop;
-              dup_rate = s.sc_dup;
-              partitions =
-                List.map
-                  (fun p ->
-                    {
-                      Livenet.pt_start = p.Scenario.pr_start;
-                      pt_stop = p.Scenario.pr_stop;
-                      pt_island = p.Scenario.pr_island;
-                    })
-                  s.sc_partitions;
-            };
-          restart_delay = s.sc_restart_delay;
-          jitter = Supervisor.default_cfg.Supervisor.jitter;
-          telemetry = Worker.Full;
-          link = None;
-        }
+  {
+    Supervisor.dir;
+    n = s.sc_n;
+    protocol = s.sc_protocol;
+    seed = Scenario.run_seed s;
+    duration = s.sc_duration;
+    settle = s.sc_settle;
+    rate = s.sc_rate;
+    hops = s.sc_hops;
+    pattern = Traffic.Uniform;
+    faults =
+      List.map (fun k -> (k.Scenario.kl_at, k.Scenario.kl_pid)) s.sc_kills;
+    net_faults =
+      {
+        Livenet.drop_rate = s.sc_drop;
+        dup_rate = s.sc_dup;
+        partitions =
+          List.map
+            (fun p ->
+              {
+                Livenet.pt_start = p.Scenario.pr_start;
+                pt_stop = p.Scenario.pr_stop;
+                pt_island = p.Scenario.pr_island;
+              })
+            s.sc_partitions;
+      };
+    restart_delay = s.sc_restart_delay;
+    jitter = Supervisor.default_cfg.Supervisor.jitter;
+    telemetry = Worker.Full;
+    link = None;
+  }
 
 let count_by_rule violations =
   let tbl = Hashtbl.create 8 in
@@ -100,9 +96,8 @@ let count_by_rule violations =
    same (crashes, events, merged) triple from remote agents. *)
 let assess ~crashes ~events ~merged (s : Scenario.t) =
   let rules =
-    match Worker.protocol_of_string s.Scenario.sc_protocol with
-    | Some p -> Worker.live_check_rules p
-    | None -> []
+    Option.value ~default:[]
+      (Registry.entry s.Scenario.sc_protocol).Registry.live_rules
   in
   match Check.Lint.run ~only:rules merged with
   | Error msg -> Error msg
@@ -117,14 +112,11 @@ let assess ~crashes ~events ~merged (s : Scenario.t) =
         }
 
 let run_scenario ~dir (s : Scenario.t) =
-  match supervisor_cfg ~dir s with
-  | Error _ as e -> e
-  | Ok cfg -> (
-      match Supervisor.run cfg with
-      | exception Invalid_argument msg -> Error msg
-      | r ->
-          assess ~crashes:r.Supervisor.crashes ~events:r.Supervisor.events
-            ~merged:r.Supervisor.merged s)
+  match Supervisor.run (supervisor_cfg ~dir s) with
+  | exception Invalid_argument msg -> Error msg
+  | r ->
+      assess ~crashes:r.Supervisor.crashes ~events:r.Supervisor.events
+        ~merged:r.Supervisor.merged s
 
 (* Greedy shrink descent: re-run each strict simplification; the first
    one that still fails becomes the new current scenario. Every live run
@@ -313,7 +305,8 @@ let run_campaign ?(runner = run_scenario) ?(shrink_budget = 12)
         let dir = Filename.concat out (Printf.sprintf "s%d" s.sc_index) in
         log
           (Printf.sprintf "scenario %d: %s n=%d kills=%d drop=%g dup=%g%s"
-             s.sc_index s.sc_protocol s.sc_n (List.length s.sc_kills)
+             s.sc_index (Registry.name s.sc_protocol) s.sc_n
+             (List.length s.sc_kills)
              s.sc_drop s.sc_dup
              (if s.sc_partitions <> [] then " partition" else ""));
         let result = runner ~dir s in

@@ -2,6 +2,7 @@
    every protocol sees the same workload and fault schedule. *)
 
 module Runner = Optimist_runner.Runner
+module Registry = Optimist_protocols.Registry
 module Schedule = Optimist_workload.Schedule
 module Network = Optimist_net.Network
 
@@ -26,14 +27,14 @@ let test_failure_free_all () =
   List.iter
     (fun protocol ->
       let r = run { base with Runner.protocol } in
-      let name = Runner.protocol_name protocol in
+      let name = Registry.name protocol in
       if Runner.counter r "delivered" = 0 then
         Alcotest.failf "%s delivered nothing" name;
       if Runner.counter r "restarts" <> 0 then
         Alcotest.failf "%s restarted without failures" name;
       if Runner.counter r "rollbacks" <> 0 then
         Alcotest.failf "%s rolled back without failures" name)
-    Runner.all_protocols
+    Registry.all
 
 (* --- pessimistic: recovery is local; peers never roll back; every
    delivery paid a synchronous write --- *)
@@ -215,10 +216,10 @@ let test_runner_deterministic () =
       let p = with_failure 200.0 1 { base with Runner.protocol } in
       let a = run p and b = run p in
       if a.Runner.r_digests <> b.Runner.r_digests then
-        Alcotest.failf "%s is not deterministic" (Runner.protocol_name protocol);
+        Alcotest.failf "%s is not deterministic" (Registry.name protocol);
       if a.Runner.r_events <> b.Runner.r_events then
-        Alcotest.failf "%s event counts differ" (Runner.protocol_name protocol))
-    Runner.all_protocols
+        Alcotest.failf "%s event counts differ" (Registry.name protocol))
+    Registry.all
 
 let suite =
   [

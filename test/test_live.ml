@@ -8,6 +8,7 @@ module Store = Optimist_live.Store
 module Merge = Optimist_live.Merge
 module Supervisor = Optimist_live.Supervisor
 module Worker = Optimist_live.Worker
+module Registry = Optimist_protocols.Registry
 module Transport = Optimist_core.Transport
 module Trace = Optimist_obs.Trace
 module Json = Optimist_obs.Json
@@ -596,13 +597,13 @@ let suite =
     Alcotest.test_case "supervised run with SIGKILL recovery" `Slow
       test_supervised_run_with_crash;
     Alcotest.test_case "sender-based survives SIGKILL, lints strict" `Slow
-      (baseline_survives_crash Worker.Sender);
+      (baseline_survives_crash Registry.Sender_based);
     Alcotest.test_case "strom-yemini survives SIGKILL, lints strict" `Slow
-      (baseline_survives_crash Worker.Sy);
+      (baseline_survives_crash Registry.Strom_yemini);
     Alcotest.test_case "checkpoint-only survives SIGKILL, lints strict" `Slow
-      (baseline_survives_crash Worker.Cpo);
+      (baseline_survives_crash Registry.Checkpoint_only);
     Alcotest.test_case "coordinated survives SIGKILL, lints strict" `Slow
-      (baseline_survives_crash Worker.Koo);
+      (baseline_survives_crash Registry.Coordinated);
     Alcotest.test_case "supervisor validates parameters" `Quick
       test_supervisor_validates;
   ]

@@ -6,13 +6,12 @@
 
 module Scenario = Optimist_soak.Scenario
 module Soak = Optimist_soak.Soak
-module Worker = Optimist_live.Worker
+module Registry = Optimist_protocols.Registry
 module Json = Optimist_obs.Json
 module Validate = Optimist_util.Validate
 
 let scenario_string s = Json.to_string (Scenario.to_json s)
 
-let all_names = List.map Worker.protocol_name Worker.all_protocols
 
 (* --- determinism: same seed => byte-identical scenarios --- *)
 
@@ -23,14 +22,14 @@ let test_generate_deterministic () =
       let a = Scenario.generate ~seed ~index:i ~protocol in
       let b = Scenario.generate ~seed ~index:i ~protocol in
       Alcotest.(check string)
-        (Printf.sprintf "generate %s is reproducible" protocol)
+        (Printf.sprintf "generate %s is reproducible" (Registry.name protocol))
         (scenario_string a) (scenario_string b))
-    all_names
+    Registry.live
 
 let test_plan_deterministic () =
   let render plan = String.concat "\n" (List.map scenario_string plan) in
   let mk () =
-    Scenario.plan ~seed:42L ~count:12 ~protocols:Worker.all_protocols
+    Scenario.plan ~seed:42L ~count:12 ~protocols:Registry.live
   in
   Alcotest.(check string) "plan is byte-identical" (render (mk ()))
     (render (mk ()));
@@ -43,12 +42,12 @@ let test_plan_deterministic () =
         (1 + Option.value ~default:0 (Hashtbl.find_opt counts s.sc_protocol)))
     (mk ());
   List.iter
-    (fun name ->
+    (fun protocol ->
       Alcotest.(check int)
-        (Printf.sprintf "%s appears twice" name)
+        (Printf.sprintf "%s appears twice" (Registry.name protocol))
         2
-        (Option.value ~default:0 (Hashtbl.find_opt counts name)))
-    all_names
+        (Option.value ~default:0 (Hashtbl.find_opt counts protocol)))
+    Registry.live
 
 let test_scenarios_stay_in_bounds () =
   List.iter
@@ -66,10 +65,10 @@ let test_scenarios_stay_in_bounds () =
         (s.sc_drop >= 0.0 && s.sc_drop < 0.1);
       Alcotest.(check bool) "dup is a small probability" true
         (s.sc_dup >= 0.0 && s.sc_dup < 0.1);
-      if s.sc_protocol <> "dg" then
+      if s.sc_protocol <> Registry.Damani_garg then
         Alcotest.(check (float 0.0)) "dups only for the uid-filtering protocol"
           0.0 s.sc_dup)
-    (Scenario.plan ~seed:7L ~count:60 ~protocols:Worker.all_protocols)
+    (Scenario.plan ~seed:7L ~count:60 ~protocols:Registry.live)
 
 (* --- JSON round-trip and replay tokens --- *)
 
@@ -81,7 +80,7 @@ let test_json_roundtrip () =
       | Ok s' ->
           Alcotest.(check string) "round-trip preserves the scenario"
             (scenario_string s) (scenario_string s'))
-    (Scenario.plan ~seed:99L ~count:18 ~protocols:Worker.all_protocols)
+    (Scenario.plan ~seed:99L ~count:18 ~protocols:Registry.live)
 
 let test_replay_token_regenerates () =
   List.iter
@@ -91,12 +90,12 @@ let test_replay_token_regenerates () =
       | Ok s' ->
           Alcotest.(check string) "token regenerates the scenario"
             (scenario_string s) (scenario_string s'))
-    (Scenario.plan ~seed:5L ~count:6 ~protocols:Worker.all_protocols)
+    (Scenario.plan ~seed:5L ~count:6 ~protocols:Registry.live)
 
 let test_replay_token_from_file () =
   (* A shrunk scenario is unreachable from any SEED:INDEX:PROTOCOL token;
      it replays from its JSON artifact instead. *)
-  let s = Scenario.generate ~seed:5L ~index:0 ~protocol:"dg" in
+  let s = Scenario.generate ~seed:5L ~index:0 ~protocol:Registry.Damani_garg in
   let shrunk = { s with Scenario.sc_drop = 0.0; sc_dup = 0.0 } in
   let path = Filename.temp_file "soak-minimal" ".json" in
   let oc = open_out path in
@@ -110,13 +109,60 @@ let test_replay_token_from_file () =
         (scenario_string shrunk) (scenario_string s'));
   Sys.remove path
 
+(* A scenario is a function of the protocol, not of how it was spelled:
+   every alias's replay token draws the same scenario. *)
+let test_aliases_generate_identical_scenarios () =
+  List.iter
+    (fun id ->
+      let e = Registry.entry id in
+      let canonical = Scenario.generate ~seed:42L ~index:3 ~protocol:id in
+      List.iter
+        (fun spelling ->
+          match Scenario.of_token ("42:3:" ^ spelling) with
+          | Error msg -> Alcotest.failf "token with %S rejected: %s" spelling msg
+          | Ok s ->
+              Alcotest.(check string)
+                (Printf.sprintf "%S draws the %s scenario" spelling e.name)
+                (scenario_string canonical) (scenario_string s))
+        (e.name :: e.aliases))
+    Registry.live
+
+(* Artifacts written before the canonical names (protocol "dg") still
+   read back, and are rewritten with the canonical name. *)
+let test_json_reads_old_spelling () =
+  let s = Scenario.generate ~seed:11L ~index:2 ~protocol:Registry.Damani_garg in
+  let old =
+    match Scenario.to_json s with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) -> if k = "protocol" then (k, Json.String "dg") else (k, v))
+             fields)
+    | j -> j
+  in
+  match Result.bind (Json.of_string (Json.to_string old)) Scenario.of_json with
+  | Error msg -> Alcotest.failf "old spelling rejected: %s" msg
+  | Ok s' ->
+      Alcotest.(check bool) "protocol is Damani-Garg" true
+        (s'.Scenario.sc_protocol = Registry.Damani_garg);
+      Alcotest.(check string) "round-trips to the canonical record"
+        (scenario_string s) (scenario_string s')
+
 let test_replay_token_rejects_garbage () =
   List.iter
     (fun tok ->
       match Scenario.of_token tok with
       | Ok _ -> Alcotest.failf "accepted %S" tok
       | Error _ -> ())
-    [ "nonsense"; "1:2"; "1:-2:dg"; "x:0:dg"; "1:0:not-a-protocol" ]
+    [
+      "nonsense";
+      "1:2";
+      "1:-2:dg";
+      "x:0:dg";
+      "1:0:not-a-protocol";
+      "1:0:peterson-kearns";
+      "1:0:damani-garg-nohold";
+    ]
 
 (* --- shrinking: every candidate is strictly simpler --- *)
 
@@ -135,14 +181,14 @@ let test_shrink_candidates_strictly_simpler () =
   in
   List.iter
     (fun s -> check_down s 0)
-    (Scenario.plan ~seed:1L ~count:24 ~protocols:Worker.all_protocols)
+    (Scenario.plan ~seed:1L ~count:24 ~protocols:Registry.live)
 
 (* --- campaign records: pure over their outcomes --- *)
 
 let synthetic_outcomes () =
-  let s0 = Scenario.generate ~seed:3L ~index:0 ~protocol:"dg" in
-  let s1 = Scenario.generate ~seed:3L ~index:1 ~protocol:"pessimist" in
-  let s2 = Scenario.generate ~seed:3L ~index:2 ~protocol:"sender-based" in
+  let s0 = Scenario.generate ~seed:3L ~index:0 ~protocol:Registry.Damani_garg in
+  let s1 = Scenario.generate ~seed:3L ~index:1 ~protocol:Registry.Pessimistic in
+  let s2 = Scenario.generate ~seed:3L ~index:2 ~protocol:Registry.Sender_based in
   [
     {
       Soak.oc_scenario = s0;
@@ -216,7 +262,7 @@ let test_small_live_campaign () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "optsoak-%d" (Unix.getpid ()))
   in
-  let s = Scenario.generate ~seed:7L ~index:0 ~protocol:"dg" in
+  let s = Scenario.generate ~seed:7L ~index:0 ~protocol:Registry.Damani_garg in
   (* Keep the run short and fault-free on the wire: one SIGKILL only. *)
   let s =
     {
@@ -333,6 +379,10 @@ let suite =
       test_replay_token_regenerates;
     Alcotest.test_case "scenario: replay from a scenario file" `Quick
       test_replay_token_from_file;
+    Alcotest.test_case "scenario: every alias draws the same scenario" `Quick
+      test_aliases_generate_identical_scenarios;
+    Alcotest.test_case "scenario: JSON written with \"dg\" round-trips" `Quick
+      test_json_reads_old_spelling;
     Alcotest.test_case "scenario: malformed replay tokens rejected" `Quick
       test_replay_token_rejects_garbage;
     Alcotest.test_case "shrink: candidates strictly simpler, descent bounded"
