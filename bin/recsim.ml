@@ -578,7 +578,7 @@ let live_run_cmd =
         faults = List.sort compare (faults @ random_faults);
         net_faults =
           {
-            Optimist_live.Livenet.drop_rate = drop;
+            Optimist_live.Link.drop_rate = drop;
             dup_rate = dup;
             partitions = [];
           };
@@ -1151,7 +1151,7 @@ let cluster_run_cmd =
         cc_kills = List.sort compare (faults @ random_faults);
         cc_net =
           {
-            Optimist_live.Livenet.drop_rate = drop;
+            Optimist_live.Link.drop_rate = drop;
             dup_rate = dup;
             partitions = [];
           };

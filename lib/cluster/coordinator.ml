@@ -1,6 +1,6 @@
 module Worker = Optimist_live.Worker
 module Registry = Optimist_protocols.Registry
-module Livenet = Optimist_live.Livenet
+module Link = Optimist_live.Link
 module Merge = Optimist_live.Merge
 module Json = Optimist_obs.Json
 module Traffic = Optimist_workload.Traffic
@@ -29,7 +29,7 @@ type cfg = {
   cc_hops : int;
   cc_pattern : Traffic.pattern;
   cc_kills : (float * int) list;
-  cc_net : Livenet.faults;
+  cc_net : Link.faults;
   cc_restart_delay : float;
   cc_telemetry : Worker.telemetry;
   cc_lead : float;  (** seconds between Start and the shared base *)
@@ -48,7 +48,7 @@ let default_cfg =
     cc_hops = 3;
     cc_pattern = Traffic.Uniform;
     cc_kills = [];
-    cc_net = Livenet.no_faults;
+    cc_net = Link.no_faults;
     cc_restart_delay = 0.3;
     cc_telemetry = Worker.Full;
     cc_lead = 0.5;
@@ -317,8 +317,8 @@ let run ?(log = fun _ -> ()) cfg ~peers =
                      (fun (at, pid) ->
                        Json.Obj [ ("at", Json.Float at); ("pid", Json.Int pid) ])
                      cfg.cc_kills) );
-              ("drop_rate", Json.Float cfg.cc_net.Livenet.drop_rate);
-              ("dup_rate", Json.Float cfg.cc_net.Livenet.dup_rate);
+              ("drop_rate", Json.Float cfg.cc_net.Link.drop_rate);
+              ("dup_rate", Json.Float cfg.cc_net.Link.dup_rate);
               ("crashes", Json.Int crashes);
               ("clean_exits", Json.Int clean_exits);
               ("events", Json.Int events);
@@ -413,13 +413,13 @@ let scenario_runner ?(agents = 2) ?(port_base = 7800) ?(worker_base = 7900) ()
           s.sc_kills;
       cc_net =
         {
-          Livenet.drop_rate = s.sc_drop;
+          Link.drop_rate = s.sc_drop;
           dup_rate = s.sc_dup;
           partitions =
             List.map
               (fun p ->
                 {
-                  Livenet.pt_start = p.Scenario.pr_start;
+                  Link.pt_start = p.Scenario.pr_start;
                   pt_stop = p.Scenario.pr_stop;
                   pt_island = p.Scenario.pr_island;
                 })

@@ -1,5 +1,5 @@
 module Worker = Optimist_live.Worker
-module Livenet = Optimist_live.Livenet
+module Link = Optimist_live.Link
 module Traffic = Optimist_workload.Traffic
 
 (* Coordinator <-> agent control protocol: length-prefixed marshalled
@@ -25,7 +25,7 @@ type agent_cfg = {
   ag_kills : (float * int) list;
       (** the full cluster-wide SIGKILL schedule; the agent filters it
           down to the pids it hosts *)
-  ag_net : Livenet.faults;
+  ag_net : Link.faults;
   ag_restart_delay : float;
   ag_telemetry : Worker.telemetry;
 }

@@ -10,7 +10,7 @@
     carries {!version} to catch mismatches. *)
 
 module Worker = Optimist_live.Worker
-module Livenet = Optimist_live.Livenet
+module Link = Optimist_live.Link
 module Traffic = Optimist_workload.Traffic
 
 val version : int
@@ -31,7 +31,7 @@ type agent_cfg = {
       (** the full cluster-wide SIGKILL schedule; the agent filters it
           down to the pids it hosts — this is how the coordinator
           schedules kills remotely *)
-  ag_net : Livenet.faults;
+  ag_net : Link.faults;
   ag_restart_delay : float;
   ag_telemetry : Worker.telemetry;
 }

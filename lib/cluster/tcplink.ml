@@ -1,52 +1,49 @@
-module Transport = Optimist_core.Transport
-module Prng = Optimist_util.Prng
-module Metrics = Optimist_obs.Metrics
 module Loop = Optimist_live.Loop
 module Link = Optimist_live.Link
-module Livenet = Optimist_live.Livenet
+module Histogram = Optimist_util.Stats.Histogram
 
 (* TCP mesh: worker [i] listens on [endpoints.(i)] and keeps one
    *outbound* stream connection to every peer. Connections are directed:
-   my sends to [dst] ride my outbound connection, and everything [dst]
+   my frames to [dst] ride my outbound connection, and everything [dst]
    sends me — acks and heartbeat pongs included — rides its own outbound
    connection back (every frame carries its source pid, so inbound
    streams need no handshake). A SIGKILL-ed peer costs its
    correspondents a dead connection, rebuilt by capped
    exponential-backoff reconnect once the successor incarnation listens
-   again; in the interim, Data frames are dropped (a real in-flight
-   loss) and Control frames come back through the retransmit timer —
-   exactly the UDS mesh's lane semantics, so the protocol layer and the
-   soak scenarios cannot tell the fabrics apart.
+   again; in the interim the pipe refuses frames to it, which the link
+   above treats exactly like the UDS mesh's ECONNREFUSED.
 
-   Framing is a 4-byte big-endian length prefix over a marshalled frame.
-   Heartbeat pings flow on every live connection; a peer that stops
-   ponging for [hb_timeout] is declared down and its connection is torn
-   and rebuilt (failure detection under silent network death, where TCP
-   itself may take minutes to notice). Fault injection (seeded
-   drop/dup/jitter on Data, burst partitions below every frame) is
-   applied at the frame layer, mirroring {!Optimist_live.Livenet}. *)
+   A stream record is a 4-byte big-endian length, then that many bytes:
+   a one-byte tag ('\000' link frame, '\001' ping, '\002' pong) and the
+   body. A heartbeat body is the sender's pid (int32) and its send
+   instant (float64 bits). Pings flow on every live connection; a peer
+   that stops ponging for [hb_timeout] is declared down and its
+   connection is torn and rebuilt (failure detection under silent
+   network death, where TCP itself may take minutes to notice). *)
 
-type 'a frame =
-  | Data_msg of { src : int; payload : 'a }
-  | Ctl_msg of { src : int; seq : int; payload : 'a }
-  | Ctl_ack of { seq : int }
-  | Hb_ping of { src : int; at : float }
-  | Hb_pong of { src : int; at : float }
-
-(* A frame larger than this is a corrupt stream, not a message. *)
+(* A record larger than this is a corrupt stream, not a message. *)
 let max_frame = 1 lsl 24
 
-(* Bound on unflushed bytes per connection before sends start counting
-   as errors — backpressure against a peer that stops reading. *)
+(* Bound on unflushed bytes per connection before sends are refused —
+   backpressure against a peer that stops reading. *)
 let outbuf_cap = 1 lsl 22
+
+let backoff_min = 0.05
+let backoff_max = 1.0
+let hb_every = 0.25
+let hb_timeout = 3.0
+
+(* Free space below which a reader compacts (or grows) its buffer. *)
+let read_min = 65536
 
 type conn = {
   c_dst : int;
+  c_addr : Unix.sockaddr;  (** resolved once, when the pipe is built *)
   mutable c_fd : Unix.file_descr option;
   mutable c_up : bool;  (** connect completed, stream writable *)
   mutable c_ever_up : bool;  (** distinguishes connects from reconnects *)
   mutable c_armed : bool;  (** writable callback registered *)
-  c_q : Bytes.t Queue.t;  (** unflushed chunks *)
+  c_q : Bytes.t Queue.t;  (** unflushed records *)
   mutable c_q_off : int;  (** write offset into the queue head *)
   mutable c_q_bytes : int;
   mutable c_backoff : float;
@@ -54,33 +51,27 @@ type conn = {
   mutable c_last_seen : float;  (** wall clock of the last pong *)
 }
 
-type 'a t = {
+(* A stream's reassembly buffer: bytes [lo, hi) are read, not parsed. *)
+type rbuf = { mutable b : Bytes.t; mutable lo : int; mutable hi : int }
+
+type t = {
   loop : Loop.t;
   me : int;
-  n : int;
-  endpoints : (string * int) array;
-  rng : Prng.t;
-  jitter_lo : float;
-  jitter_span : float;
-  retransmit_every : float;
-  hb_every : float;
-  hb_timeout : float;
-  faults : Livenet.faults;
-  scope : Metrics.Scope.t;
+  io : Link.io;
   conns : conn array;  (** index = dst; [me]'s slot is never used *)
   mutable listen_fd : Unix.file_descr option;
   mutable inbound : Unix.file_descr list;  (** accepted connections *)
-  mutable handler : 'a -> unit;
-  mutable ctl_seq : int;
-  unacked : (int, int * Bytes.t) Hashtbl.t; (* seq -> (dst, encoded frame) *)
-  seen_ctl : (int * int, unit) Hashtbl.t; (* (src, seq) already delivered *)
   mutable closed : bool;
+  hb_rtt : Histogram.t;  (** milliseconds *)
+  mutable bytes_sent : int;
+  mutable bytes_received : int;
+  mutable frames_sent : int;
+  mutable frames_received : int;
+  mutable connects : int;
+  mutable reconnects : int;
+  mutable accepted : int;
+  mutable hb_timeouts : int;
 }
-
-let backoff_min = 0.05
-let backoff_max = 1.0
-
-let incr ?by t name = Metrics.Scope.incr ?by t.scope name
 
 let resolve host =
   try Unix.inet_addr_of_string host
@@ -89,35 +80,30 @@ let resolve host =
     with Not_found ->
       failwith (Printf.sprintf "tcp link: cannot resolve host %S" host))
 
-let encode frame =
-  let body = Marshal.to_bytes frame [] in
-  let n = Bytes.length body in
-  let out = Bytes.create (4 + n) in
-  Bytes.set_int32_be out 0 (Int32.of_int n);
-  Bytes.blit body 0 out 4 n;
-  out
+let record tag body_len =
+  let r = Bytes.create (5 + body_len) in
+  Bytes.set_int32_be r 0 (Int32.of_int (1 + body_len));
+  Bytes.set r 4 tag;
+  r
 
-(* Same gate as the UDS mesh: an active partition blocks frames crossing
-   the island boundary in either direction, heartbeats included (a
-   partitioned peer genuinely looks dead). *)
-let partitioned t ~dst =
-  t.faults.Livenet.partitions <> []
-  && begin
-       let now = Loop.now t.loop in
-       List.exists
-         (fun (p : Livenet.partition) ->
-           now >= p.pt_start && now < p.pt_stop
-           && List.mem t.me p.pt_island <> List.mem dst p.pt_island)
-         t.faults.Livenet.partitions
-     end
+let frame_record bytes =
+  let r = record '\000' (Bytes.length bytes) in
+  Bytes.blit bytes 0 r 5 (Bytes.length bytes);
+  r
+
+let heartbeat_record tag ~src ~at =
+  let r = record tag 12 in
+  Bytes.set_int32_be r 5 (Int32.of_int src);
+  Bytes.set_int64_be r 9 (Int64.bits_of_float at);
+  r
+
+let close_fd t fd =
+  Loop.remove_fd t.loop fd;
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 let conn_down t conn =
-  (match conn.c_fd with
-  | None -> ()
-  | Some fd ->
-      Loop.remove_fd t.loop fd;
-      conn.c_armed <- false;
-      (try Unix.close fd with Unix.Unix_error _ -> ()));
+  Option.iter (close_fd t) conn.c_fd;
+  conn.c_armed <- false;
   conn.c_fd <- None;
   conn.c_up <- false;
   Queue.clear conn.c_q;
@@ -164,91 +150,90 @@ and arm t conn fd =
     Loop.on_writable t.loop fd (fun () -> flush t conn)
   end
 
-(* Enqueue one encoded frame on [dst]'s outbound connection. Down or
-   clogged connections drop the frame (counted as a send error): that is
-   a Data frame's fate, and Control frames retry via the retransmit
-   timer — the TCP analogue of the datagram mesh's ECONNREFUSED path. *)
-let conn_send t ~dst bytes =
+(* Queue one record on [dst]'s outbound connection; [false] when the
+   connection is down or clogged. *)
+let enqueue t ~dst r =
   let conn = t.conns.(dst) in
-  if (not conn.c_up) || conn.c_q_bytes > outbuf_cap then
-    incr t "send_errors"
+  if (not conn.c_up) || conn.c_q_bytes > outbuf_cap then false
   else begin
-    incr t "frames_sent";
-    incr ~by:(Bytes.length bytes) t "bytes_sent";
-    Queue.push bytes conn.c_q;
-    conn.c_q_bytes <- conn.c_q_bytes + Bytes.length bytes;
-    flush t conn
+    t.frames_sent <- t.frames_sent + 1;
+    t.bytes_sent <- t.bytes_sent + Bytes.length r;
+    Queue.push r conn.c_q;
+    conn.c_q_bytes <- conn.c_q_bytes + Bytes.length r;
+    flush t conn;
+    true
   end
 
-let send_frame t ~dst frame =
-  if partitioned t ~dst then incr t "partition_blocked"
-  else conn_send t ~dst (encode frame)
+(* Heartbeats are the pipe's own frames but still cross the link's
+   partition gate, so a partitioned peer genuinely looks dead. *)
+let send_heartbeat t ~dst tag ~at =
+  if t.io.Link.pass dst then
+    ignore (enqueue t ~dst (heartbeat_record tag ~src:t.me ~at))
 
-let dispatch t frame =
-  incr t "received";
-  match frame with
-  | Data_msg { src = _; payload } -> t.handler payload
-  | Ctl_msg { src; seq; payload } ->
-      (* Ack first (cheap, idempotent); deliver only the first copy. *)
-      send_frame t ~dst:src (Ctl_ack { seq });
-      if not (Hashtbl.mem t.seen_ctl (src, seq)) then begin
-        Hashtbl.replace t.seen_ctl (src, seq) ();
-        t.handler payload
-      end
-  | Ctl_ack { seq } -> Hashtbl.remove t.unacked seq
-  | Hb_ping { src; at } -> send_frame t ~dst:src (Hb_pong { src = t.me; at })
-  | Hb_pong { src; at } ->
-      let now = Unix.gettimeofday () in
-      if src >= 0 && src < t.n then t.conns.(src).c_last_seen <- now;
-      Metrics.Scope.observe_hist t.scope "hb_rtt_ms"
-        (Float.max 0.0 ((now -. at) *. 1000.0))
-
-(* Reassemble length-prefixed frames from a stream buffer. Both inbound
-   accepted connections and outbound connections read through this (a
-   peer only ever sends us frames on its own outbound connection, but an
-   EOF on ours is how we learn it died). *)
-let drain_frames t buf ~on_error =
-  let s = Buffer.contents buf in
-  let total = String.length s in
-  let pos = ref 0 in
-  let continue = ref true in
-  let bad = ref false in
-  while !continue do
-    if total - !pos < 4 then continue := false
-    else begin
-      let flen = Int32.to_int (String.get_int32_be s !pos) in
-      if flen <= 0 || flen > max_frame then begin
-        bad := true;
-        continue := false
-      end
-      else if total - !pos - 4 < flen then continue := false
+let on_record t b off len =
+  t.frames_received <- t.frames_received + 1;
+  match Bytes.get b off with
+  | '\000' -> t.io.deliver b (off + 1) (len - 1)
+  | ('\001' | '\002') as tag when len = 13 ->
+      let src = Int32.to_int (Bytes.get_int32_be b (off + 1)) in
+      let at = Int64.float_of_bits (Bytes.get_int64_be b (off + 5)) in
+      if src < 0 || src >= Array.length t.conns then t.io.bad_frame ()
+      else if tag = '\001' then send_heartbeat t ~dst:src '\002' ~at
       else begin
-        incr t "frames_received";
-        (match (Marshal.from_string s (!pos + 4) : _ frame) with
-        | frame -> dispatch t frame
-        | exception _ -> ());
-        pos := !pos + 4 + flen
+        let now = Unix.gettimeofday () in
+        t.conns.(src).c_last_seen <- now;
+        Histogram.add t.hb_rtt (Float.max 0.0 ((now -. at) *. 1000.0))
       end
-    end
-  done;
-  if !bad then on_error ()
-  else begin
-    Buffer.clear buf;
-    Buffer.add_substring buf s !pos (total - !pos)
-  end
+  | _ -> t.io.bad_frame ()
 
-(* Register a frame reader on [fd]. [on_close] runs on EOF, a read
+(* Register a record reader on [fd]. Inbound accepted connections and
+   outbound connections both read through this (a peer only ever sends
+   us records on its own outbound connection, but an EOF on ours is how
+   we learn it died). The buffer is read into in place and compacted
+   only when its free space runs low, so a record arriving in k chunks
+   costs O(size) copying, not O(k·size). [on_close] runs on EOF, a read
    error, or a corrupt stream. *)
 let add_reader t fd ~on_close =
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
+  let rb = { b = Bytes.create read_min; lo = 0; hi = 0 } in
+  let rec parse () =
+    let avail = rb.hi - rb.lo in
+    if avail >= 4 then begin
+      let len = Int32.to_int (Bytes.get_int32_be rb.b rb.lo) in
+      if len <= 0 || len > max_frame then begin
+        t.io.bad_frame ();
+        on_close ()
+      end
+      else if avail - 4 >= len then begin
+        let off = rb.lo + 4 in
+        rb.lo <- off + len;
+        on_record t rb.b off len;
+        parse ()
+      end
+    end
+  in
   Loop.on_readable t.loop fd (fun () ->
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      if Bytes.length rb.b - rb.hi < read_min then begin
+        let live = rb.hi - rb.lo in
+        let b =
+          if live + read_min > Bytes.length rb.b then
+            Bytes.create (2 * (live + read_min))
+          else rb.b
+        in
+        Bytes.blit rb.b rb.lo b 0 live;
+        rb.b <- b;
+        rb.lo <- 0;
+        rb.hi <- live
+      end;
+      match Unix.read fd rb.b rb.hi (Bytes.length rb.b - rb.hi) with
       | 0 -> on_close ()
       | n ->
-          incr ~by:n t "bytes_received";
-          Buffer.add_subbytes buf chunk 0 n;
-          drain_frames t buf ~on_error:on_close
+          t.bytes_received <- t.bytes_received + n;
+          rb.hi <- rb.hi + n;
+          parse ();
+          if rb.lo = rb.hi then begin
+            rb.lo <- 0;
+            rb.hi <- 0
+          end
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         ->
@@ -259,7 +244,8 @@ let on_connected t conn fd =
   conn.c_up <- true;
   conn.c_backoff <- backoff_min;
   conn.c_last_seen <- Unix.gettimeofday ();
-  if conn.c_ever_up then incr t "reconnects" else incr t "connects";
+  if conn.c_ever_up then t.reconnects <- t.reconnects + 1
+  else t.connects <- t.connects + 1;
   conn.c_ever_up <- true;
   add_reader t fd ~on_close:(fun () -> conn_down t conn)
 
@@ -267,7 +253,6 @@ let on_connected t conn fd =
    set; completion is judged by SO_ERROR. *)
 let attempt_connect t conn =
   if (not t.closed) && conn.c_fd = None then begin
-    let host, port = t.endpoints.(conn.c_dst) in
     match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
     | exception Unix.Unix_error _ ->
         conn.c_next_attempt <- Unix.gettimeofday () +. conn.c_backoff
@@ -276,7 +261,7 @@ let attempt_connect t conn =
         Unix.setsockopt fd Unix.TCP_NODELAY true;
         conn.c_fd <- Some fd;
         conn.c_up <- false;
-        match Unix.connect fd (Unix.ADDR_INET (resolve host, port)) with
+        match Unix.connect fd conn.c_addr with
         | () -> on_connected t conn fd
         | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _)
           ->
@@ -289,7 +274,7 @@ let attempt_connect t conn =
         | exception Unix.Unix_error _ -> conn_down t conn)
   end
 
-(* Retry every due disconnected peer. Driven from the periodic tick and
+(* Retry every due disconnected peer. Driven from the heartbeat tick and
    from [ready]'s pump (loop timers idle until the run base passes, so
    the pre-base connection barrier cannot rely on them). *)
 let reconnect_due t =
@@ -307,79 +292,17 @@ let heartbeat t =
   Array.iter
     (fun conn ->
       if conn.c_dst <> t.me && conn.c_up then begin
-        if now -. conn.c_last_seen > t.hb_timeout then begin
+        if now -. conn.c_last_seen > hb_timeout then begin
           (* Silence despite a live TCP stream: declare the peer down
              and rebuild through the backoff path. *)
-          incr t "hb_timeouts";
+          t.hb_timeouts <- t.hb_timeouts + 1;
           conn_down t conn
         end
-        else send_frame t ~dst:conn.c_dst (Hb_ping { src = t.me; at = now })
+        else send_heartbeat t ~dst:conn.c_dst '\001' ~at:now
       end)
     t.conns
 
-let send t ~lane ~dst payload =
-  if not t.closed then
-    match lane with
-    | Transport.Data ->
-        incr t "sent_data";
-        if
-          t.faults.Livenet.drop_rate > 0.0
-          && Prng.bernoulli t.rng t.faults.Livenet.drop_rate
-        then incr t "faults_dropped"
-        else begin
-          let bytes = encode (Data_msg { src = t.me; payload }) in
-          (* Sender-side jitter, as in the UDS mesh: the frame hits the
-             stream a random delay late, so back-to-back sends to
-             different peers genuinely interleave. *)
-          let post () =
-            let delay = t.jitter_lo +. Prng.float t.rng t.jitter_span in
-            Loop.schedule t.loop ~delay (fun () ->
-                if not t.closed then
-                  if partitioned t ~dst then incr t "partition_blocked"
-                  else conn_send t ~dst bytes)
-          in
-          post ();
-          if
-            t.faults.Livenet.dup_rate > 0.0
-            && Prng.bernoulli t.rng t.faults.Livenet.dup_rate
-          then begin
-            incr t "faults_duplicated";
-            post ()
-          end
-        end
-    | Transport.Control ->
-        incr t "sent_control";
-        t.ctl_seq <- t.ctl_seq + 1;
-        let seq = t.ctl_seq in
-        let bytes = encode (Ctl_msg { src = t.me; seq; payload }) in
-        Hashtbl.replace t.unacked seq (dst, bytes);
-        if partitioned t ~dst then incr t "partition_blocked"
-        else conn_send t ~dst bytes
-
-let retransmit_pending t =
-  Hashtbl.iter
-    (fun _ (dst, bytes) ->
-      incr t "retransmits";
-      if partitioned t ~dst then incr t "partition_blocked"
-      else conn_send t ~dst bytes)
-    t.unacked
-
-let transport t =
-  {
-    Transport.send = (fun ~lane ~src:_ ~dst payload -> send t ~lane ~dst payload);
-    broadcast =
-      (fun ~lane ~src:_ payload ->
-        for dst = 0 to t.n - 1 do
-          if dst <> t.me then send t ~lane ~dst payload
-        done);
-    set_handler = (fun id f -> if id = t.me then t.handler <- f);
-    (* Crashes are real process deaths here; the fabric has no gate. *)
-    set_down = (fun _ -> ());
-    set_up = (fun ~drop_held_data:_ _ -> ());
-  }
-
-let listen t =
-  let _, port = t.endpoints.(t.me) in
+let listen t ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_any, port));
@@ -393,83 +316,17 @@ let listen t =
         | cfd, _ ->
             Unix.set_nonblock cfd;
             Unix.setsockopt cfd Unix.TCP_NODELAY true;
-            incr t "accepted";
+            t.accepted <- t.accepted + 1;
             t.inbound <- cfd :: t.inbound;
             add_reader t cfd ~on_close:(fun () ->
                 t.inbound <- List.filter (fun f -> f <> cfd) t.inbound;
-                Loop.remove_fd t.loop cfd;
-                try Unix.close cfd with Unix.Unix_error _ -> ())
+                close_fd t cfd)
         | exception
             Unix.Unix_error
               ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
             continue := false
         | exception Unix.Unix_error _ -> continue := false
       done)
-
-let create ?(jitter = (0.001, 0.02)) ?(retransmit_every = 0.1)
-    ?(hb_every = 0.25) ?(hb_timeout = 3.0) ?(seq_base = 0)
-    ?(faults = Livenet.no_faults) ~loop ~endpoints ~me ~n ~seed () =
-  if Array.length endpoints <> n then
-    invalid_arg
-      (Printf.sprintf "tcp link: %d endpoints for %d workers"
-         (Array.length endpoints) n);
-  let jitter_lo, jitter_hi = jitter in
-  let t =
-    {
-      loop;
-      me;
-      n;
-      endpoints;
-      rng = Prng.create seed;
-      jitter_lo;
-      jitter_span = Float.max (jitter_hi -. jitter_lo) 1e-9;
-      retransmit_every;
-      hb_every;
-      hb_timeout;
-      faults;
-      scope = Metrics.Scope.create ~protocol:"tcp" ~process:me ();
-      conns =
-        Array.init n (fun dst ->
-            {
-              c_dst = dst;
-              c_fd = None;
-              c_up = false;
-              c_ever_up = false;
-              c_armed = false;
-              c_q = Queue.create ();
-              c_q_off = 0;
-              c_q_bytes = 0;
-              c_backoff = backoff_min;
-              c_next_attempt = 0.0;
-              c_last_seen = 0.0;
-            });
-      listen_fd = None;
-      inbound = [];
-      handler = (fun _ -> ());
-      ctl_seq = seq_base;
-      unacked = Hashtbl.create 64;
-      seen_ctl = Hashtbl.create 256;
-      closed = false;
-    }
-  in
-  listen t;
-  reconnect_due t;
-  let rec retry_loop () =
-    if not t.closed then begin
-      retransmit_pending t;
-      Loop.schedule loop ~delay:t.retransmit_every retry_loop
-    end
-  in
-  Loop.schedule loop ~delay:retransmit_every retry_loop;
-  let rec hb_loop () =
-    if not t.closed then begin
-      heartbeat t;
-      reconnect_due t;
-      Loop.schedule loop ~delay:t.hb_every hb_loop
-    end
-  in
-  Loop.schedule loop ~delay:hb_every hb_loop;
-  t
 
 let connected t =
   Array.for_all (fun conn -> conn.c_dst = t.me || conn.c_up) t.conns
@@ -490,69 +347,105 @@ let wait_connected t ~timeout =
   in
   wait ()
 
-let unacked_count t = Hashtbl.length t.unacked
-
-let stats t = Metrics.Scope.counters t.scope
-
-let snapshot t = Metrics.Scope.snapshot_prefixed ~prefix:"link." t.scope
-
-let scope t = t.scope
-
 let close t =
   if not t.closed then begin
     t.closed <- true;
     Array.iter
       (fun conn ->
-        match conn.c_fd with
-        | None -> ()
-        | Some fd ->
-            Loop.remove_fd t.loop fd;
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            conn.c_fd <- None;
-            conn.c_up <- false)
+        Option.iter (close_fd t) conn.c_fd;
+        conn.c_fd <- None;
+        conn.c_up <- false)
       t.conns;
     (* Accepted inbound connections too: a process death would close
        them for free, but an in-process teardown (tests, same-process
        incarnation swaps) must not leave readers that keep consuming a
        peer's frames — the peer would never see EOF and never reconnect
        to the successor. *)
-    List.iter
-      (fun fd ->
-        Loop.remove_fd t.loop fd;
-        try Unix.close fd with Unix.Unix_error _ -> ())
-      t.inbound;
+    List.iter (close_fd t) t.inbound;
     t.inbound <- [];
-    match t.listen_fd with
-    | None -> ()
-    | Some fd ->
-        Loop.remove_fd t.loop fd;
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        t.listen_fd <- None
+    Option.iter (close_fd t) t.listen_fd;
+    t.listen_fd <- None
   end
 
-let link t =
+let pipe ~endpoints ~n ~loop ~me io =
+  if Array.length endpoints <> n then
+    invalid_arg
+      (Printf.sprintf "tcp link: %d endpoints for %d workers"
+         (Array.length endpoints) n);
+  let t =
+    {
+      loop;
+      me;
+      io;
+      conns =
+        Array.mapi
+          (fun dst (host, port) ->
+            {
+              c_dst = dst;
+              c_addr = Unix.ADDR_INET (resolve host, port);
+              c_fd = None;
+              c_up = false;
+              c_ever_up = false;
+              c_armed = false;
+              c_q = Queue.create ();
+              c_q_off = 0;
+              c_q_bytes = 0;
+              c_backoff = backoff_min;
+              c_next_attempt = 0.0;
+              c_last_seen = 0.0;
+            })
+          endpoints;
+      listen_fd = None;
+      inbound = [];
+      closed = false;
+      hb_rtt = Histogram.create ();
+      bytes_sent = 0;
+      bytes_received = 0;
+      frames_sent = 0;
+      frames_received = 0;
+      connects = 0;
+      reconnects = 0;
+      accepted = 0;
+      hb_timeouts = 0;
+    }
+  in
+  listen t ~port:(snd endpoints.(me));
+  reconnect_due t;
+  let rec hb_loop () =
+    if not t.closed then begin
+      heartbeat t;
+      reconnect_due t;
+      Loop.schedule loop ~delay:hb_every hb_loop
+    end
+  in
+  Loop.schedule loop ~delay:hb_every hb_loop;
   {
-    Link.transport = transport t;
-    ready = (fun ~timeout -> wait_connected t ~timeout);
-    unacked = (fun () -> unacked_count t);
-    stats = (fun () -> stats t);
-    snapshot = (fun () -> snapshot t);
-    close = (fun () -> close t);
-    kind = "tcp";
+    Link.p_send = (fun dst bytes -> enqueue t ~dst (frame_record bytes));
+    p_ready = wait_connected t;
+    p_counters =
+      (fun () ->
+        [
+          ("bytes_sent", t.bytes_sent);
+          ("bytes_received", t.bytes_received);
+          ("frames_sent", t.frames_sent);
+          ("frames_received", t.frames_received);
+          ("connects", t.connects);
+          ("reconnects", t.reconnects);
+          ("accepted", t.accepted);
+          ("hb_timeouts", t.hb_timeouts);
+        ]);
+    p_extras =
+      (fun () ->
+        let h = t.hb_rtt in
+        if Histogram.count h = 0 then []
+        else
+          [
+            ("hb_rtt_ms.count", float_of_int (Histogram.count h));
+            ("hb_rtt_ms.p50", Histogram.quantile h 0.5);
+            ("hb_rtt_ms.p95", Histogram.quantile h 0.95);
+          ]);
+    p_close = (fun () -> close t);
   }
 
-(* Per-incarnation seed and control-sequence base derivation matches
-   {!Optimist_live.Livenet.factory}, so a scenario replays identically
-   over either fabric modulo wall-clock timing. *)
-let factory ?retransmit_every ?hb_every ?hb_timeout
-    ?(faults = Livenet.no_faults) ~endpoints ~n ~seed () =
-  {
-    Link.f_kind = "tcp";
-    make =
-      (fun ~loop ~me ~gen ~jitter ->
-        let seed = Int64.add seed (Int64.of_int (1 + me + (gen * n))) in
-        link
-          (create ~jitter ?retransmit_every ?hb_every ?hb_timeout
-             ~seq_base:(gen * 1_000_000)
-             ~faults ~loop ~endpoints ~me ~n ~seed ()));
-  }
+let factory ?faults ~endpoints ~n ~seed () =
+  Link.factory ?faults ~n ~seed (pipe ~endpoints ~n)

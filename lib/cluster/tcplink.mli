@@ -1,90 +1,36 @@
-(** TCP mesh transport: the multi-host counterpart of
-    {!Optimist_live.Livenet}.
+(** The TCP stream pipe under {!Optimist_live.Link}: the multi-host mesh.
 
     Worker [i] listens on [endpoints.(i)] and keeps one outbound stream
-    connection per peer (directed: acks and pongs return on the peer's
-    own outbound connection; every frame carries its source pid, so
-    inbound streams need no handshake). Frames are marshalled with a
-    4-byte big-endian length prefix. Connections are established
-    non-blockingly and rebuilt after loss with capped exponential
-    backoff; heartbeat pings double as a failure detector (a peer silent
-    for [hb_timeout] has its connection torn and rebuilt) and feed an
-    RTT histogram. While a peer is down, Data frames drop (real
-    in-flight losses) and Control frames return through the retransmit
-    timer — the same lane semantics as the UDS mesh, so protocol code
-    and soak scenarios run unchanged over either fabric. The seeded
-    drop/dup/jitter/partition fault plan is applied at the frame layer,
-    mirroring {!Optimist_live.Livenet}. *)
+    connection per peer. Connections are directed: a worker's frames to
+    a peer ride its own outbound connection, and the peer's acks and
+    heartbeat pongs come back on the peer's outbound connection. Every
+    link frame carries its source pid, so inbound streams need no
+    handshake. A record on the stream is a 4-byte big-endian length, a
+    one-byte tag, then either a link frame or a heartbeat.
 
-module Transport = Optimist_core.Transport
-module Metrics = Optimist_obs.Metrics
-module Loop = Optimist_live.Loop
+    Endpoints are resolved once, when the pipe is built; an unresolvable
+    host fails [make]. Connections are set up non-blockingly and rebuilt
+    after loss with capped exponential backoff. Every 0.25 s each live
+    connection carries a ping; a peer that has not ponged for 3 s has
+    its connection torn down and rebuilt, and the pongs feed an RTT
+    histogram. Heartbeats pass the link's partition gate, so a
+    partitioned peer looks dead. While a peer is down, the pipe refuses
+    frames to it. The link then treats the refusal exactly as it treats
+    an ECONNREFUSED datagram on the UDS mesh, so protocol code and soak
+    scenarios run unchanged over either pipe. *)
+
 module Link = Optimist_live.Link
-module Livenet = Optimist_live.Livenet
-
-type 'a t
-
-val create :
-  ?jitter:float * float ->
-  ?retransmit_every:float ->
-  ?hb_every:float ->
-  ?hb_timeout:float ->
-  ?seq_base:int ->
-  ?faults:Livenet.faults ->
-  loop:Loop.t ->
-  endpoints:(string * int) array ->
-  me:int ->
-  n:int ->
-  seed:int64 ->
-  unit ->
-  'a t
-(** Binds and listens on [endpoints.(me)] (SO_REUSEADDR), starts
-    connecting to every peer, and arms the retransmit (default 0.1 s)
-    and heartbeat (default 0.25 s, 3 s timeout) timers on [loop].
-    [jitter], [seq_base] and [faults] behave as in
-    {!Optimist_live.Livenet.create}. *)
-
-val wait_connected : 'a t -> timeout:float -> bool
-(** Pump the loop until every outbound connection is up; [false] on
-    timeout. Wall-clock driven, so it works before the run base. *)
-
-val connected : 'a t -> bool
-
-val transport : 'a t -> 'a Transport.t
-
-val unacked_count : 'a t -> int
-(** Control frames not yet acknowledged. *)
-
-val stats : 'a t -> (string * int) list
-(** Wire counters: the UDS mesh's names ([sent_data], [sent_control],
-    [retransmits], [received], [send_errors], [faults_dropped],
-    [faults_duplicated], [partition_blocked]) plus the stream layer's
-    [bytes_sent], [bytes_received], [frames_sent], [frames_received],
-    [connects], [reconnects], [accepted], [hb_timeouts]. *)
-
-val snapshot : 'a t -> (string * float) list
-(** The link's metric scope flattened under the ["link."] prefix,
-    including [link.hb_rtt_ms.count/p50/p95] from the heartbeat RTT
-    histogram — the payload merged into the worker's Snapshot records. *)
-
-val scope : 'a t -> Metrics.Scope.t
-
-val close : 'a t -> unit
-
-val link : 'a t -> 'a Link.t
-(** The mesh behind the transport-agnostic {!Optimist_live.Link}
-    interface ([kind = "tcp"]). *)
 
 val factory :
-  ?retransmit_every:float ->
-  ?hb_every:float ->
-  ?hb_timeout:float ->
-  ?faults:Livenet.faults ->
+  ?faults:Link.faults ->
   endpoints:(string * int) array ->
   n:int ->
   seed:int64 ->
   unit ->
   Link.factory
-(** A {!Optimist_live.Link.factory} for the TCP mesh. Per-incarnation
-    seed and control-sequence base derivation matches
-    {!Optimist_live.Livenet.factory}. *)
+(** A {!Optimist_live.Link.factory} for the TCP mesh. Besides the link's
+    counters, [stats] carries [bytes_sent], [bytes_received],
+    [frames_sent], [frames_received], [connects], [reconnects],
+    [accepted] and [hb_timeouts]; [snapshot] adds
+    [link.hb_rtt_ms.count/p50/p95] once a pong has been seen. [ready]
+    pumps the loop until every outbound connection is up. *)

@@ -25,7 +25,7 @@ type cfg = {
   hops : int;
   pattern : Traffic.pattern;
   faults : (float * int) list;  (** (seconds into the run, pid) SIGKILLs *)
-  net_faults : Livenet.faults;  (** seeded drops/dups/partitions *)
+  net_faults : Link.faults;  (** seeded drops/dups/partitions *)
   restart_delay : float;
   jitter : float * float;
   telemetry : Worker.telemetry;
@@ -44,7 +44,7 @@ let default_cfg =
     hops = 3;
     pattern = Traffic.Uniform;
     faults = [];
-    net_faults = Livenet.no_faults;
+    net_faults = Link.no_faults;
     restart_delay = 0.3;
     jitter = (0.001, 0.02);
     telemetry = Worker.Full;
@@ -95,7 +95,7 @@ let validate cfg =
   if not (rate_ok cfg.net_faults.dup_rate) then
     fail "dup rate must be in [0, 1) (got %g)" cfg.net_faults.dup_rate;
   List.iter
-    (fun (p : Livenet.partition) ->
+    (fun (p : Link.partition) ->
       if p.pt_start < 0.0 || p.pt_stop <= p.pt_start then
         fail "partition window [%g, %g) is empty or negative" p.pt_start
           p.pt_stop;
@@ -297,7 +297,7 @@ let run cfg =
         ( "partitions",
           Json.List
             (List.map
-               (fun (p : Livenet.partition) ->
+               (fun (p : Link.partition) ->
                  Json.Obj
                    [
                      ("start", Json.Float p.pt_start);

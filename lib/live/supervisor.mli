@@ -23,7 +23,7 @@ type cfg = {
   hops : int;
   pattern : Traffic.pattern;
   faults : (float * int) list;  (** (seconds into the run, pid) SIGKILLs *)
-  net_faults : Livenet.faults;
+  net_faults : Link.faults;
       (** seeded Data-lane drops/dups and burst partitions, passed to
           every worker's transport *)
   restart_delay : float;  (** crash-to-respawn delay, seconds *)

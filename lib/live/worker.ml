@@ -46,7 +46,7 @@ type cfg = {
   hops : int;
   pattern : Traffic.pattern;
   jitter : float * float;
-  faults : Livenet.faults;
+  faults : Link.faults;
   telemetry : telemetry;
   link : Link.factory option;
       (** [None] = the classic single-host UDS mesh built from [dir],

@@ -44,7 +44,7 @@ type cfg = {
   hops : int;
   pattern : Traffic.pattern;
   jitter : float * float;  (** Data-lane send-delay range, seconds *)
-  faults : Livenet.faults;  (** seeded network-fault plan *)
+  faults : Link.faults;  (** seeded network-fault plan *)
   telemetry : telemetry;
   link : Link.factory option;
       (** [None] = the classic single-host UDS mesh built from [dir],

@@ -1,7 +1,7 @@
 module Worker = Optimist_live.Worker
 module Registry = Optimist_protocols.Registry
 module Supervisor = Optimist_live.Supervisor
-module Livenet = Optimist_live.Livenet
+module Link = Optimist_live.Link
 module Check = Optimist_check.Check
 module Trace = Optimist_obs.Trace
 module Json = Optimist_obs.Json
@@ -62,13 +62,13 @@ let supervisor_cfg ~dir (s : Scenario.t) =
       List.map (fun k -> (k.Scenario.kl_at, k.Scenario.kl_pid)) s.sc_kills;
     net_faults =
       {
-        Livenet.drop_rate = s.sc_drop;
+        Link.drop_rate = s.sc_drop;
         dup_rate = s.sc_dup;
         partitions =
           List.map
             (fun p ->
               {
-                Livenet.pt_start = p.Scenario.pr_start;
+                Link.pt_start = p.Scenario.pr_start;
                 pt_stop = p.Scenario.pr_stop;
                 pt_island = p.Scenario.pr_island;
               })

@@ -1,9 +1,11 @@
-(* Tests of the cluster subsystem: the TCP mesh link (framing, both
-   lanes, reconnection, backoff to a late peer), the coordinator's pid
+(* Tests of the cluster subsystem: the TCP pipe's own behaviour
+   (reconnection, large-frame reassembly, heartbeat metrics; the lane
+   table it shares with the UDS pipe is in lanes.ml), the coordinator's pid
    partitioning, the agent protocol plumbing, and one end-to-end
    two-agent localhost cluster run with a real SIGKILL. *)
 
 module Loop = Optimist_live.Loop
+module Link = Optimist_live.Link
 module Tcplink = Optimist_cluster.Tcplink
 module Coordinator = Optimist_cluster.Coordinator
 module Worker = Optimist_live.Worker
@@ -24,78 +26,17 @@ let temp_dir () =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   dir
 
-(* Distinct port ranges per test so parallel alcotest runs and TIME_WAIT
-   leftovers cannot collide. Derived from the test process's pid to
-   survive repeated invocations on one machine. *)
-let port_base =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    20000 + ((Unix.getpid () * 13 + !counter * 101) mod 20000)
+let port_base = Lanes.port_base
 
-let endpoints base n = Array.init n (fun i -> ("127.0.0.1", base + i))
+(* One incarnation of worker [me] on a two-worker TCP mesh at [base]. *)
+let tcp ?(gen = 0) loop base me : string Link.t =
+  (Tcplink.factory ~endpoints:(Lanes.endpoints base 2) ~n:2 ~seed:35L ())
+    .Link.make ~loop ~me ~gen ~jitter:(0.001, 0.02)
 
-let make_pair ?faults_a ?(retransmit_every = 0.05) loop base =
-  let eps = endpoints base 2 in
-  let a =
-    Tcplink.create ?faults:faults_a ~retransmit_every ~loop ~endpoints:eps
-      ~me:0 ~n:2 ~seed:31L ()
-  in
-  let b =
-    Tcplink.create ~retransmit_every ~loop ~endpoints:eps ~me:1 ~n:2
-      ~seed:32L ()
-  in
-  (a, b)
+let on (l : string Link.t) me f = l.Link.transport.Transport.set_handler me f
 
-let test_tcp_data_and_control () =
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let a, b = make_pair loop (port_base ()) in
-  Alcotest.(check bool) "mesh connects" true
-    (Tcplink.wait_connected a ~timeout:5.0
-    && Tcplink.wait_connected b ~timeout:5.0);
-  let got = ref [] in
-  (Tcplink.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  (Tcplink.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Tcplink.transport a).Transport.send ~lane:Transport.Data ~src:0 ~dst:1
-    "data";
-  (Tcplink.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "ctl";
-  Loop.run loop ~until:0.4;
-  Alcotest.(check (list string)) "both lanes delivered" [ "ctl"; "data" ]
-    (List.sort compare !got);
-  Alcotest.(check int) "control acked" 0 (Tcplink.unacked_count a);
-  Tcplink.close a;
-  Tcplink.close b
-
-let test_tcp_control_reaches_late_peer () =
-  (* Control sent before the peer has even bound its port: the sender
-     backs off, reconnects once the listener appears, and the retransmit
-     timer delivers the frame exactly once. *)
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let base = port_base () in
-  let eps = endpoints base 2 in
-  let a =
-    Tcplink.create ~retransmit_every:0.05 ~loop ~endpoints:eps ~me:0 ~n:2
-      ~seed:33L ()
-  in
-  (Tcplink.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Tcplink.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "tok";
-  Loop.run loop ~until:0.15;
-  Alcotest.(check int) "still unacked" 1 (Tcplink.unacked_count a);
-  let b =
-    Tcplink.create ~retransmit_every:0.05 ~loop ~endpoints:eps ~me:1 ~n:2
-      ~seed:34L ()
-  in
-  let got = ref [] in
-  (Tcplink.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  Alcotest.(check bool) "late peer reachable" true
-    (Tcplink.wait_connected a ~timeout:5.0);
-  Loop.run loop ~until:1.0;
-  Alcotest.(check (list string)) "delivered exactly once" [ "tok" ] !got;
-  Alcotest.(check int) "acked after retry" 0 (Tcplink.unacked_count a);
-  Tcplink.close a;
-  Tcplink.close b
+let send (l : string Link.t) lane m =
+  l.Link.transport.Transport.send ~lane ~src:0 ~dst:1 m
 
 let test_tcp_reconnects_after_peer_restart () =
   (* Tear the receiving end down mid-conversation and bring a new
@@ -104,76 +45,60 @@ let test_tcp_reconnects_after_peer_restart () =
      traffic queued across the outage must arrive exactly once. *)
   let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
   let base = port_base () in
-  let eps = endpoints base 2 in
-  let a =
-    Tcplink.create ~retransmit_every:0.05 ~loop ~endpoints:eps ~me:0 ~n:2
-      ~seed:35L ()
-  in
-  let b =
-    Tcplink.create ~retransmit_every:0.05 ~loop ~endpoints:eps ~me:1 ~n:2
-      ~seed:36L ()
-  in
-  (Tcplink.transport a).Transport.set_handler 0 (fun _ -> ());
+  let a = tcp loop base 0 and b = tcp loop base 1 in
+  on a 0 ignore;
   let got = ref [] in
-  (Tcplink.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  Alcotest.(check bool) "initial mesh up" true
-    (Tcplink.wait_connected a ~timeout:5.0);
-  (Tcplink.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "before";
+  on b 1 (fun m -> got := m :: !got);
+  Alcotest.(check bool) "initial mesh up" true (a.Link.ready ~timeout:5.0);
+  send a Transport.Control "before";
   Loop.run loop ~until:0.3;
   Alcotest.(check (list string)) "first frame arrives" [ "before" ] !got;
-  Tcplink.close b;
+  b.Link.close ();
   (* Queued while the peer is dead: a real outage, not a quiet queue. *)
-  (Tcplink.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "during";
+  send a Transport.Control "during";
   Loop.run loop ~until:0.6;
-  let b' =
-    Tcplink.create ~retransmit_every:0.05 ~seq_base:1_000_000 ~loop
-      ~endpoints:eps ~me:1 ~n:2 ~seed:37L ()
-  in
+  let b' = tcp ~gen:1 loop base 1 in
   let got' = ref [] in
-  (Tcplink.transport b').Transport.set_handler 1 (fun m -> got' := m :: !got');
-  Alcotest.(check bool) "mesh heals" true
-    (Tcplink.wait_connected a ~timeout:5.0);
+  on b' 1 (fun m -> got' := m :: !got');
+  Alcotest.(check bool) "mesh heals" true (a.Link.ready ~timeout:5.0);
   Loop.run loop ~until:1.5;
   Alcotest.(check (list string)) "outage-spanning control arrives once"
     [ "during" ] !got';
-  Alcotest.(check int) "nothing left unacked" 0 (Tcplink.unacked_count a);
+  Alcotest.(check int) "nothing left unacked" 0 (a.Link.unacked ());
   Alcotest.(check bool) "reconnect counted" true
-    (List.assoc "reconnects" (Tcplink.stats a) > 0);
-  Tcplink.close a;
-  Tcplink.close b'
+    (List.assoc "reconnects" (a.Link.stats ()) > 0);
+  a.Link.close ();
+  b'.Link.close ()
 
 let test_tcp_large_frame () =
   (* A payload far bigger than any single read(2) must reassemble
      through the length-prefixed framing. *)
   let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let a, b = make_pair loop (port_base ()) in
-  Alcotest.(check bool) "mesh connects" true
-    (Tcplink.wait_connected a ~timeout:5.0);
+  let base = port_base () in
+  let a = tcp loop base 0 and b = tcp loop base 1 in
+  Alcotest.(check bool) "mesh connects" true (a.Link.ready ~timeout:5.0);
   let payload = String.init 300_000 (fun i -> Char.chr (i mod 251)) in
   let got = ref None in
-  (Tcplink.transport b).Transport.set_handler 1 (fun m -> got := Some m);
-  (Tcplink.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Tcplink.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    payload;
+  on b 1 (fun m -> got := Some m);
+  on a 0 ignore;
+  send a Transport.Control payload;
   Loop.run loop ~until:0.6;
   (match !got with
   | Some m -> Alcotest.(check bool) "payload intact" true (String.equal m payload)
   | None -> Alcotest.fail "large frame not delivered");
-  Tcplink.close a;
-  Tcplink.close b
+  a.Link.close ();
+  b.Link.close ()
 
 let test_tcp_snapshot_has_link_metrics () =
   let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let a, b = make_pair loop (port_base ()) in
-  Alcotest.(check bool) "mesh connects" true
-    (Tcplink.wait_connected a ~timeout:5.0);
-  (Tcplink.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Tcplink.transport b).Transport.set_handler 1 (fun _ -> ());
-  (Tcplink.transport a).Transport.send ~lane:Transport.Data ~src:0 ~dst:1 "x";
+  let base = port_base () in
+  let a = tcp loop base 0 and b = tcp loop base 1 in
+  Alcotest.(check bool) "mesh connects" true (a.Link.ready ~timeout:5.0);
+  on a 0 ignore;
+  on b 1 ignore;
+  send a Transport.Data "x";
   Loop.run loop ~until:0.8;
-  let snap = Tcplink.snapshot a in
+  let snap = a.Link.snapshot () in
   List.iter
     (fun key ->
       Alcotest.(check bool) (key ^ " present") true (List.mem_assoc key snap))
@@ -181,8 +106,8 @@ let test_tcp_snapshot_has_link_metrics () =
       "link.hb_rtt_ms.count"; "link.hb_rtt_ms.p95" ];
   Alcotest.(check bool) "heartbeats measured" true
     (List.assoc "link.hb_rtt_ms.count" snap > 0.0);
-  Tcplink.close a;
-  Tcplink.close b
+  a.Link.close ();
+  b.Link.close ()
 
 (* --- coordinator plumbing --- *)
 
@@ -270,10 +195,6 @@ let test_cluster_run_with_crash () =
 
 let suite =
   [
-    Alcotest.test_case "tcp link: data and control delivery" `Quick
-      test_tcp_data_and_control;
-    Alcotest.test_case "tcp link: control reaches a late peer" `Quick
-      test_tcp_control_reaches_late_peer;
     Alcotest.test_case "tcp link: reconnects after peer restart" `Quick
       test_tcp_reconnects_after_peer_restart;
     Alcotest.test_case "tcp link: large frame reassembly" `Quick
@@ -287,3 +208,4 @@ let suite =
     Alcotest.test_case "two-agent cluster run with SIGKILL recovery" `Slow
       test_cluster_run_with_crash;
   ]
+  @ Lanes.suite Lanes.tcp

@@ -3,6 +3,7 @@
    supervised run with a real SIGKILL. *)
 
 module Loop = Optimist_live.Loop
+module Link = Optimist_live.Link
 module Livenet = Optimist_live.Livenet
 module Store = Optimist_live.Store
 module Merge = Optimist_live.Merge
@@ -218,99 +219,29 @@ let test_image_restart_dedup () =
        (List.assoc_opt "duplicates_dropped" (Process.counters q)));
   Store.close !store
 
-(* --- livenet --- *)
+(* --- livenet (the lane table over both pipes is in lanes.ml) --- *)
 
-let test_livenet_data_and_control () =
-  let dir = temp_dir () in
+let test_livenet_oversized_datagram () =
+  (* A control frame longer than the receive buffer arrives truncated on
+     every retransmit: each copy is counted as a bad frame on the
+     receiver instead of vanishing, and the sender keeps it unacked. *)
   let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let a = Livenet.create ~loop ~dir ~me:0 ~n:2 ~seed:11L () in
-  let b = Livenet.create ~loop ~dir ~me:1 ~n:2 ~seed:12L () in
-  let got = ref [] in
-  (Livenet.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  (Livenet.transport a).Transport.set_handler 0 (fun _ -> ());
-  let ta = Livenet.transport a in
-  ta.Transport.send ~lane:Transport.Data ~src:0 ~dst:1 "data";
-  ta.Transport.send ~lane:Transport.Control ~src:0 ~dst:1 "ctl";
-  Loop.run loop ~until:0.3;
-  Alcotest.(check (list string)) "both lanes delivered" [ "ctl"; "data" ]
-    (List.sort compare !got);
-  Alcotest.(check int) "control acked" 0 (Livenet.unacked_count a);
-  Livenet.close a;
-  Livenet.close b
-
-let test_livenet_control_retransmits_to_late_peer () =
-  (* A control frame sent before the destination even exists must reach
-     it once it binds — the live analogue of tokens queued across
-     downtime — and be delivered exactly once despite retransmission. *)
-  let dir = temp_dir () in
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let a = Livenet.create ~retransmit_every:0.02 ~loop ~dir ~me:0 ~n:2 ~seed:3L () in
-  (Livenet.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Livenet.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "tok";
-  Loop.run loop ~until:0.05;
-  Alcotest.(check int) "still unacked" 1 (Livenet.unacked_count a);
-  let b = Livenet.create ~loop ~dir ~me:1 ~n:2 ~seed:4L () in
-  let got = ref [] in
-  (Livenet.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  Loop.run loop ~until:0.4;
-  Alcotest.(check (list string)) "delivered exactly once" [ "tok" ] !got;
-  Alcotest.(check int) "acked after retry" 0 (Livenet.unacked_count a);
-  Livenet.close a;
-  Livenet.close b
-
-let test_livenet_data_to_dead_peer_is_dropped () =
-  let dir = temp_dir () in
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let a = Livenet.create ~loop ~dir ~me:0 ~n:2 ~seed:5L () in
-  (Livenet.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Livenet.transport a).Transport.send ~lane:Transport.Data ~src:0 ~dst:1
-    "vanishes";
-  Loop.run loop ~until:0.1;
-  let errors = List.assoc "send_errors" (Livenet.stats a) in
-  Alcotest.(check int) "counted as a wire drop" 1 errors;
-  Livenet.close a
-
-let test_livenet_one_way_partition_heals () =
-  (* A sustained one-way partition (only the sender's gate is configured,
-     so the reverse path stays open): control frames pile up unacked
-     while the window is shut, then heal through retransmission — and the
-     receiver's dedup must keep delivery exactly-once despite every
-     retransmit that piled up arriving at once. *)
-  let dir = temp_dir () in
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let faults =
-    {
-      Livenet.no_faults with
-      Livenet.partitions =
-        [ { Livenet.pt_start = 0.0; pt_stop = 0.25; pt_island = [ 0 ] } ];
-    }
-  in
-  let a =
-    Livenet.create ~retransmit_every:0.02 ~faults ~loop ~dir ~me:0 ~n:2
-      ~seed:21L ()
-  in
-  let b = Livenet.create ~loop ~dir ~me:1 ~n:2 ~seed:22L () in
-  let got = ref [] in
-  (Livenet.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  (Livenet.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Livenet.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "t1";
-  (Livenet.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "t2";
-  Loop.run loop ~until:0.15;
-  Alcotest.(check int) "unacked grows while partitioned" 2
-    (Livenet.unacked_count a);
-  Alcotest.(check (list string)) "nothing crossed the partition" [] !got;
-  Alcotest.(check bool) "sends were gated, not lost silently" true
-    (List.assoc "partition_blocked" (Livenet.stats a) > 0);
-  Loop.run loop ~until:0.6;
-  Alcotest.(check (list string)) "delivered exactly once after heal"
-    [ "t1"; "t2" ] (List.sort compare !got);
-  Alcotest.(check int) "drained to zero after heal" 0
-    (Livenet.unacked_count a);
-  Livenet.close a;
-  Livenet.close b
+  let f = Livenet.factory ~dir:(temp_dir ()) ~n:2 ~seed:7L () in
+  let a = f.Link.make ~loop ~me:0 ~gen:0 ~jitter:(0.001, 0.02) in
+  let b = f.Link.make ~loop ~me:1 ~gen:0 ~jitter:(0.001, 0.02) in
+  let got = ref 0 in
+  b.Link.transport.Transport.set_handler 1 (fun _ -> incr got);
+  a.Link.transport.Transport.send ~lane:Transport.Control ~src:0 ~dst:1
+    (String.make 300_000 'x');
+  Loop.run loop ~until:0.25;
+  let stat (l : _ Link.t) k = List.assoc k (l.Link.stats ()) in
+  Alcotest.(check int) "nothing delivered" 0 !got;
+  Alcotest.(check bool) "truncated copies counted" true
+    (stat b "bad_frames" >= 1);
+  Alcotest.(check int) "not received as a frame" 0 (stat b "received");
+  Alcotest.(check int) "still unacked" 1 (a.Link.unacked ());
+  a.Link.close ();
+  b.Link.close ()
 
 (* --- merge --- *)
 
@@ -580,14 +511,8 @@ let suite =
       test_checkpoint_size_constant;
     Alcotest.test_case "dg: duplicate filter after an image restart" `Quick
       test_image_restart_dedup;
-    Alcotest.test_case "livenet: data and control delivery" `Quick
-      test_livenet_data_and_control;
-    Alcotest.test_case "livenet: control reaches a late peer" `Quick
-      test_livenet_control_retransmits_to_late_peer;
-    Alcotest.test_case "livenet: data to dead peer drops" `Quick
-      test_livenet_data_to_dead_peer_is_dropped;
-    Alcotest.test_case "livenet: one-way partition heals exactly-once" `Quick
-      test_livenet_one_way_partition_heals;
+    Alcotest.test_case "livenet: oversized datagram is a bad frame" `Quick
+      test_livenet_oversized_datagram;
     Alcotest.test_case "merge: global order and single header" `Quick
       test_merge_orders_and_deduplicates_headers;
     Alcotest.test_case "merge: identical timestamps keep a stable order" `Quick
@@ -607,3 +532,4 @@ let suite =
     Alcotest.test_case "supervisor validates parameters" `Quick
       test_supervisor_validates;
   ]
+  @ Lanes.suite Lanes.uds
