@@ -20,13 +20,16 @@ module Ftvc = Optimist_clock.Ftvc
 module History = Optimist_history.History
 module Vclock = Optimist_clock.Vclock
 module Live = Optimist_live.Supervisor
-module Live_worker = Optimist_live.Worker
+module Plan = Optimist_live.Plan
 module Live_merge = Optimist_live.Merge
 module Json = Optimist_obs.Json
 module Obs_trace = Optimist_obs.Trace
 module Cluster = Optimist_cluster.Coordinator
 
 let section title = Format.printf "@.=== %s ===@.@." title
+
+let live_run ~dir plan =
+  match Live.run ~dir plan with Ok r -> r | Error msg -> failwith msg
 
 let fmt_float f = Printf.sprintf "%.2f" f
 
@@ -942,20 +945,19 @@ let live () =
           (Filename.get_temp_dir_name ())
           (Printf.sprintf "optbench-%s-%d" name (Unix.getpid ()))
       in
-      let cfg =
+      let plan =
         {
-          Live.default_cfg with
-          Live.dir;
+          Plan.default with
           n = 4;
           protocol;
           duration = 2.0;
           settle = 1.5;
           rate = 8.0;
-          faults = [ (0.8, 1); (1.4, 2) ];
+          kills = [ (0.8, 1); (1.4, 2) ];
         }
       in
       let t0 = Unix.gettimeofday () in
-      let r = Live.run cfg in
+      let r = live_run ~dir plan in
       let wall = Unix.gettimeofday () -. t0 in
       Table.add_row t
         [
@@ -997,16 +999,15 @@ let live_overhead () =
   let baseline = ref None in
   List.iter
     (fun mode ->
-      let name = Live_worker.telemetry_name mode in
+      let name = Plan.telemetry_name mode in
       let dir =
         Filename.concat
           (Filename.get_temp_dir_name ())
           (Printf.sprintf "optbench-tel-%s-%d" name (Unix.getpid ()))
       in
-      let cfg =
+      let plan =
         {
-          Live.default_cfg with
-          Live.dir;
+          Plan.default with
           n = 4;
           duration = 2.0;
           settle = 1.0;
@@ -1015,7 +1016,7 @@ let live_overhead () =
         }
       in
       let t0 = Unix.gettimeofday () in
-      let _r = Live.run cfg in
+      let _r = live_run ~dir plan in
       let wall = Unix.gettimeofday () -. t0 in
       let delivered =
         Sys.readdir dir |> Array.to_list
@@ -1039,7 +1040,7 @@ let live_overhead () =
                    | None -> acc))
              0
       in
-      let tput = float_of_int delivered /. cfg.Live.duration in
+      let tput = float_of_int delivered /. plan.duration in
       let trace_bytes =
         List.fold_left
           (fun acc f -> acc + (Unix.stat f).Unix.st_size)
@@ -1062,7 +1063,7 @@ let live_overhead () =
           string_of_int trace_bytes;
           vs_off;
         ])
-    [ Live_worker.Off; Live_worker.Ring; Live_worker.Full ];
+    [ Plan.Off; Plan.Ring; Plan.Full ];
   Format.printf "%s@." (Table.render t);
   Format.printf
     "expected shape: spans and snapshots are cheap next to real sockets and \
@@ -1166,26 +1167,23 @@ let cluster () =
         string_of_int (net_count dir "reconnects");
       ]
   in
-  let n = 4 and duration = 2.0 and settle = 1.5 and rate = 8.0 in
-  let kills = [ (0.8, 1) ] in
+  let plan =
+    {
+      Plan.default with
+      n = 4;
+      duration = 2.0;
+      settle = 1.5;
+      rate = 8.0;
+      kills = [ (0.8, 1) ];
+    }
+  in
   (let dir =
      Filename.concat
        (Filename.get_temp_dir_name ())
        (Printf.sprintf "optbench-uds-%d" (Unix.getpid ()))
    in
-   let cfg =
-     {
-       Live.default_cfg with
-       Live.dir;
-       n;
-       duration;
-       settle;
-       rate;
-       faults = kills;
-     }
-   in
    let t0 = Unix.gettimeofday () in
-   let r = Live.run cfg in
+   let r = live_run ~dir plan in
    let wall = Unix.gettimeofday () -. t0 in
    record "uds" ~wall ~events:r.Live.events ~dir ~merged:r.Live.merged);
   (let out =
@@ -1195,24 +1193,15 @@ let cluster () =
    in
    let port_base = 23000 + (Unix.getpid () mod 2000) in
    let cfg =
-     {
-       Cluster.default_cfg with
-       Cluster.cc_out = out;
-       cc_n = n;
-       cc_duration = duration;
-       cc_settle = settle;
-       cc_rate = rate;
-       cc_kills = kills;
-       cc_worker_base = port_base + 100;
-     }
+     { Cluster.default_cfg with plan; out; worker_base = port_base + 100 }
    in
    let t0 = Unix.gettimeofday () in
    match Cluster.run_forked ~port_base ~agents:2 cfg with
    | Error msg -> Format.printf "tcp-loopback run failed: %s@." msg
    | Ok r ->
        let wall = Unix.gettimeofday () -. t0 in
-       record "tcp-loopback (2 agents)" ~wall ~events:r.Cluster.cs_events
-         ~dir:out ~merged:r.Cluster.cs_merged);
+       record "tcp-loopback (2 agents)" ~wall ~events:r.Live.events
+         ~dir:out ~merged:r.Live.merged);
   Format.printf "%s@." (Table.render t);
   Format.printf
     "expected shape: TCP loopback adds modest per-hop latency (framing + \

@@ -9,45 +9,21 @@
     collected traces, so a cluster run's output directory is
     indistinguishable from a single-host run's. *)
 
-module Worker = Optimist_live.Worker
-module Link = Optimist_live.Link
-module Traffic = Optimist_workload.Traffic
+module Plan = Optimist_live.Plan
+module Supervisor = Optimist_live.Supervisor
 module Scenario = Optimist_soak.Scenario
 module Soak = Optimist_soak.Soak
 
 type cfg = {
-  cc_out : string;  (** coordinator-side output directory *)
-  cc_n : int;
-  cc_protocol : Optimist_protocols.Registry.id;
-  cc_seed : int64;
-  cc_duration : float;
-  cc_settle : float;
-  cc_rate : float;
-  cc_hops : int;
-  cc_pattern : Traffic.pattern;
-  cc_kills : (float * int) list;  (** cluster-wide SIGKILL schedule *)
-  cc_net : Link.faults;
-  cc_restart_delay : float;
-  cc_telemetry : Worker.telemetry;
-  cc_lead : float;  (** seconds between Start and the shared base *)
-  cc_worker_base : int;  (** worker pid [i] listens on [cc_worker_base + i] *)
+  plan : Plan.t;  (** the run, shipped unchanged to every agent *)
+  out : string;  (** coordinator-side output directory *)
+  lead : float;  (** seconds between Start and the shared base *)
+  worker_base : int;  (** worker pid [i] listens on [worker_base + i] *)
 }
 
 val default_cfg : cfg
-
-type summary = {
-  cs_merged : string;
-  cs_chrome : string;
-  cs_events : int;
-  cs_dropped : int;
-  cs_crashes : int;
-  cs_clean_exits : int;
-  cs_gens : (int * int) list;  (** (pid, final generation) *)
-}
-
-val merged_file : string -> string
-val chrome_file : string -> string
-val run_file : string -> string
+(** {!Plan.default} into ["cluster-run"], 0.5 s lead, worker ports from
+    7900. *)
 
 val blocks : n:int -> k:int -> int list list
 (** Contiguous pid blocks: agent [j] of [k] hosts [n/k] (plus one for
@@ -57,19 +33,23 @@ val run :
   ?log:(string -> unit) ->
   cfg ->
   peers:(string * int) list ->
-  (summary, string) result
+  (Supervisor.result, string) result
 (** Run one cluster run against already-listening agents at
-    [peers = (host, control port) list]. Blocks for the whole run. *)
+    [peers = (host, control port) list]: {!Plan.validate} before any
+    agent is contacted, then ship the plan, start, fetch, and write the
+    output directory with {!Supervisor.finish} — the single-host
+    [run.json] keys, preceded by [transport], [run], [agents] and
+    [peers]. Blocks for the whole run. *)
 
 val run_forked :
   ?log:(string -> unit) ->
   ?port_base:int ->
   agents:int ->
   cfg ->
-  (summary, string) result
-(** Localhost multi-process mode: fork [agents] in-process agents
-    (control ports [port_base + j], scratch dirs [cc_out/agentJ]), run
-    against them, reap them. *)
+  (Supervisor.result, string) result
+(** Localhost multi-process mode: validate the plan, fork [agents]
+    in-process agents (control ports [port_base + j], scratch dirs
+    [out/agentJ]), run against them, reap them. *)
 
 val scenario_runner :
   ?agents:int ->

@@ -1,6 +1,5 @@
-module Worker = Optimist_live.Worker
-module Link = Optimist_live.Link
-module Traffic = Optimist_workload.Traffic
+module Plan = Optimist_live.Plan
+module Supervisor = Optimist_live.Supervisor
 
 (* Coordinator <-> agent control protocol: length-prefixed marshalled
    messages over one blocking TCP connection per agent. Both ends are
@@ -8,26 +7,15 @@ module Traffic = Optimist_workload.Traffic
    sound (same type layout); the version handshake guards against
    mismatched builds on different hosts. *)
 
-let version = 2
+let version = 3
 
 type agent_cfg = {
   ag_run : string;  (** run id, for agent-side logging *)
-  ag_n : int;  (** total workers across the cluster *)
   ag_workers : int list;  (** the pids this agent hosts *)
   ag_endpoints : (string * int) array;  (** worker pid -> host, data port *)
-  ag_protocol : Optimist_protocols.Registry.id;
-  ag_seed : int64;
-  ag_duration : float;
-  ag_settle : float;
-  ag_rate : float;
-  ag_hops : int;
-  ag_pattern : Traffic.pattern;
-  ag_kills : (float * int) list;
-      (** the full cluster-wide SIGKILL schedule; the agent filters it
-          down to the pids it hosts *)
-  ag_net : Link.faults;
-  ag_restart_delay : float;
-  ag_telemetry : Worker.telemetry;
+  ag_plan : Plan.t;
+      (** the whole run, its cluster-wide SIGKILL schedule included; the
+          agent filters the kills down to the pids it hosts *)
 }
 
 type request =
@@ -44,7 +32,7 @@ type request =
 type response =
   | Welcome of { version : int }
   | Ok_
-  | Done_ of { crashes : int; clean_exits : int; gens : (int * int) list }
+  | Done_ of Supervisor.sv_result  (** the agent's supervision outcome *)
   | File of { path : string; data : string }
       (** one run artifact, path relative to the agent's run directory *)
   | Fetched

@@ -9,31 +9,22 @@
     same build of the recsim binary (Marshal on the wire); [Welcome]
     carries {!version} to catch mismatches. *)
 
-module Worker = Optimist_live.Worker
-module Link = Optimist_live.Link
-module Traffic = Optimist_workload.Traffic
+module Plan = Optimist_live.Plan
+module Supervisor = Optimist_live.Supervisor
 
 val version : int
+(** 3: the plan travels as one {!Plan.t} and [Done_] carries the
+    supervisor's outcome record. Version 2 spelled the plan out field by
+    field. *)
 
 type agent_cfg = {
   ag_run : string;  (** run id, for agent-side logging *)
-  ag_n : int;  (** total workers across the cluster *)
   ag_workers : int list;  (** the pids this agent hosts *)
   ag_endpoints : (string * int) array;  (** worker pid -> host, data port *)
-  ag_protocol : Optimist_protocols.Registry.id;
-  ag_seed : int64;
-  ag_duration : float;
-  ag_settle : float;
-  ag_rate : float;
-  ag_hops : int;
-  ag_pattern : Traffic.pattern;
-  ag_kills : (float * int) list;
-      (** the full cluster-wide SIGKILL schedule; the agent filters it
-          down to the pids it hosts — this is how the coordinator
-          schedules kills remotely *)
-  ag_net : Link.faults;
-  ag_restart_delay : float;
-  ag_telemetry : Worker.telemetry;
+  ag_plan : Plan.t;
+      (** the whole run, validated again on arrival. Its kill schedule is
+          cluster-wide; the agent filters it down to the pids it hosts —
+          this is how the coordinator schedules kills remotely *)
 }
 
 type request =
@@ -49,7 +40,7 @@ type request =
 type response =
   | Welcome of { version : int }
   | Ok_
-  | Done_ of { crashes : int; clean_exits : int; gens : (int * int) list }
+  | Done_ of Supervisor.sv_result  (** the agent's supervision outcome *)
   | File of { path : string; data : string }
       (** one run artifact, path relative to the agent's run directory *)
   | Fetched

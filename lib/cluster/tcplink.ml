@@ -22,7 +22,10 @@ module Histogram = Optimist_util.Stats.Histogram
    network death, where TCP itself may take minutes to notice). *)
 
 (* A record larger than this is a corrupt stream, not a message. *)
-let max_frame = 1 lsl 24
+let max_record = 1 lsl 24
+
+(* The largest link frame a record carries: the tag byte takes one. *)
+let max_frame = max_record - 1
 
 (* Bound on unflushed bytes per connection before sends are refused —
    backpressure against a peer that stops reading. *)
@@ -199,7 +202,7 @@ let add_reader t fd ~on_close =
     let avail = rb.hi - rb.lo in
     if avail >= 4 then begin
       let len = Int32.to_int (Bytes.get_int32_be rb.b rb.lo) in
-      if len <= 0 || len > max_frame then begin
+      if len <= 0 || len > max_record then begin
         t.io.bad_frame ();
         on_close ()
       end
@@ -420,7 +423,8 @@ let pipe ~endpoints ~n ~loop ~me io =
   in
   Loop.schedule loop ~delay:hb_every hb_loop;
   {
-    Link.p_send = (fun dst bytes -> enqueue t ~dst (frame_record bytes));
+    Link.p_max_frame = max_frame;
+    p_send = (fun dst bytes -> enqueue t ~dst (frame_record bytes));
     p_ready = wait_connected t;
     p_counters =
       (fun () ->

@@ -21,6 +21,11 @@
 
 module Link = Optimist_live.Link
 
+val max_frame : int
+(** The largest link frame one stream record carries (16 MiB less the
+    tag byte); the link refuses longer frames at send time, and a
+    receiver drops the connection on a longer length prefix. *)
+
 val factory :
   ?faults:Link.faults ->
   endpoints:(string * int) array ->

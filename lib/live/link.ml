@@ -42,6 +42,7 @@ type io = {
 }
 
 type pipe = {
+  p_max_frame : int;
   p_send : int -> Bytes.t -> bool;
   p_ready : timeout:float -> bool;
   p_counters : unit -> (string * int) list;
@@ -118,6 +119,16 @@ let raw_send t ~dst bytes =
   if pass t dst && not (t.pipe.p_send dst bytes) then
     t.send_errors <- t.send_errors + 1
 
+(* A frame longer than the pipe can deliver would arrive cut short (or
+   not at all) on every copy; it is refused here, once, as a send
+   error, and never enters the retransmit table. *)
+let fits t bytes =
+  Bytes.length bytes <= t.pipe.p_max_frame
+  || begin
+       t.send_errors <- t.send_errors + 1;
+       false
+     end
+
 let send t ~lane ~dst payload =
   if not t.closed then
     match lane with
@@ -125,30 +136,35 @@ let send t ~lane ~dst payload =
         t.sent_data <- t.sent_data + 1;
         if t.faults.drop_rate > 0.0 && Prng.bernoulli t.rng t.faults.drop_rate
         then t.faults_dropped <- t.faults_dropped + 1
-        else begin
+        else
           let bytes = encode (Data_msg { src = t.me; payload }) in
-          (* Sender-side jitter delays the actual write by a random amount,
-             so two back-to-back sends can hit the wire (and the receiver)
-             out of order — the "reordered sockets" condition. *)
-          let post () =
-            let delay = t.jitter_lo +. Prng.float t.rng t.jitter_span in
-            Loop.schedule t.loop ~delay (fun () ->
-                if not t.closed then raw_send t ~dst bytes)
-          in
-          post ();
-          if t.faults.dup_rate > 0.0 && Prng.bernoulli t.rng t.faults.dup_rate
-          then begin
-            t.faults_duplicated <- t.faults_duplicated + 1;
-            post ()
+          if fits t bytes then begin
+            (* Sender-side jitter delays the actual write by a random
+               amount, so two back-to-back sends can hit the wire (and the
+               receiver) out of order — the "reordered sockets"
+               condition. *)
+            let post () =
+              let delay = t.jitter_lo +. Prng.float t.rng t.jitter_span in
+              Loop.schedule t.loop ~delay (fun () ->
+                  if not t.closed then raw_send t ~dst bytes)
+            in
+            post ();
+            if
+              t.faults.dup_rate > 0.0 && Prng.bernoulli t.rng t.faults.dup_rate
+            then begin
+              t.faults_duplicated <- t.faults_duplicated + 1;
+              post ()
+            end
           end
-        end
     | Transport.Control ->
         t.sent_ctl <- t.sent_ctl + 1;
         t.ctl_seq <- t.ctl_seq + 1;
         let seq = t.ctl_seq in
         let bytes = encode (Ctl_msg { src = t.me; seq; payload }) in
-        Hashtbl.replace t.unacked seq (dst, bytes);
-        raw_send t ~dst bytes
+        if fits t bytes then begin
+          Hashtbl.replace t.unacked seq (dst, bytes);
+          raw_send t ~dst bytes
+        end
 
 (* The one dispatch of received frames. The bytes come from the network,
    so a sender outside the mesh is dropped here rather than indexing a
@@ -204,6 +220,7 @@ let snapshot t =
    [io] closures, and they need the state. *)
 let unopened =
   {
+    p_max_frame = 0;
     p_send = (fun _ _ -> false);
     p_ready = (fun ~timeout:_ -> false);
     p_counters = (fun () -> []);

@@ -90,6 +90,11 @@ type io = {
 (** What the link gives the pipe it sits on. *)
 
 type pipe = {
+  p_max_frame : int;
+      (** the longest frame, in bytes, the pipe delivers whole; the link
+          refuses a longer one at send time, on either lane, as one
+          [send_errors] (a Control frame never enters the retransmit
+          table) *)
   p_send : int -> Bytes.t -> bool;
       (** write one encoded frame to a peer; [false] when the pipe cannot
           take it (peer down, buffer full), counted as [send_errors] *)

@@ -4,6 +4,12 @@
    the next send — which is exactly the fire-and-forget Data-lane model.
    Everything above moving one frame is {!Link}'s. *)
 
+(* The largest frame the pipe delivers whole. [Unix.sendto] copies at
+   most 65536 bytes (the Unix library's I/O buffer) into one datagram and
+   silently drops the rest, so a longer frame would reach the peer cut
+   short on every copy; the link refuses it at send time instead. *)
+let max_frame = 65536
+
 let sock_path dir i = Filename.concat dir (Printf.sprintf "w%d.sock" i)
 
 (* The portable floor of [sizeof sun_path] (104 on the BSDs, 108 on
@@ -48,7 +54,7 @@ let pipe ~dir ~n ~loop ~me (io : Link.io) =
   Unix.bind fd (Unix.ADDR_UNIX path);
   Unix.set_nonblock fd;
   let peers = Array.init n (fun i -> Unix.ADDR_UNIX (sock_path dir i)) in
-  let buf = Bytes.create 262144 in
+  let buf = Bytes.create max_frame in
   let closed = ref false in
   (* Drain every datagram currently queued; the socket is non-blocking.
      Frames carry their sender, so the source address is not read. *)
@@ -64,10 +70,12 @@ let pipe ~dir ~n ~loop ~me (io : Link.io) =
   in
   Loop.on_readable loop fd pump;
   {
-    Link.p_send =
+    Link.p_max_frame = max_frame;
+    p_send =
       (fun dst bytes ->
-        match Unix.sendto fd bytes 0 (Bytes.length bytes) [] peers.(dst) with
-        | _ -> true
+        let len = Bytes.length bytes in
+        match Unix.sendto fd bytes 0 len [] peers.(dst) with
+        | sent -> sent = len
         | exception
             Unix.Unix_error
               ( ( Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN

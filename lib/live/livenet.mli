@@ -5,8 +5,13 @@
     tear down when a peer is SIGKILL-ed. A send the kernel refuses
     (ECONNREFUSED, ENOENT, EAGAIN/EWOULDBLOCK, ENOBUFS: the peer is dead,
     unborn or not draining) is a send error; the link decides what that
-    means per lane. Datagrams longer than the 256 KiB receive buffer
-    arrive truncated and are counted as [bad_frames] by the link. *)
+    means per lane. The link refuses frames over {!max_frame} at send
+    time; a longer datagram from elsewhere arrives truncated and is
+    counted as [bad_frames]. *)
+
+val max_frame : int
+(** The largest frame one datagram carries whole: 65536 bytes, the most
+    [Unix.sendto] writes in one call. *)
 
 val sock_path : string -> int -> string
 (** [sock_path dir i] is worker [i]'s socket path. *)

@@ -10,35 +10,6 @@
     exit on their own, traces are merged ({!Merge}) and a [run.json]
     summary is written to the run directory. *)
 
-module Traffic = Optimist_workload.Traffic
-
-type cfg = {
-  dir : string;  (** run directory (created; previous artifacts cleared) *)
-  n : int;
-  protocol : Optimist_protocols.Registry.id;  (** one of the live ids *)
-  seed : int64;
-  duration : float;  (** injection window, seconds *)
-  settle : float;  (** drain time after the window, seconds *)
-  rate : float;
-  hops : int;
-  pattern : Traffic.pattern;
-  faults : (float * int) list;  (** (seconds into the run, pid) SIGKILLs *)
-  net_faults : Link.faults;
-      (** seeded Data-lane drops/dups and burst partitions, passed to
-          every worker's transport *)
-  restart_delay : float;  (** crash-to-respawn delay, seconds *)
-  jitter : float * float;
-  telemetry : Worker.telemetry;  (** passed to every worker *)
-  link : Link.factory option;
-      (** [None] = the classic UDS mesh under [dir]; [Some f] = an
-          alternative fabric (the cluster's TCP link) given to every
-          worker *)
-}
-
-val default_cfg : cfg
-(** 4 workers, Damani-Garg, 3 s of traffic at 8 msg/s/process + 2 s
-    settle, no faults, full telemetry. *)
-
 type result = {
   merged : string;  (** path of the merged JSONL trace *)
   chrome : string;  (** path of the merged Chrome trace *)
@@ -52,16 +23,11 @@ val merged_file : string -> string
 val chrome_file : string -> string
 val run_file : string -> string
 
-val validate : cfg -> unit
-(** Raises [Invalid_argument] with a one-line message on nonsense
-    parameters (a protocol that does not run live, n < 2, non-positive durations/rates, fault pid or time
-    out of range, drop/dup rates outside [0, 1), malformed partitions,
-    a [dir] whose socket paths would overflow [sun_path]). *)
-
-val clean_dir : cfg -> unit
-(** Create [dir] if needed and clear the previous run's artifacts
-    (sockets, traces, stores, reports) so a reused directory cannot mix
-    two runs' traces. *)
+val clean_dir : string -> unit
+(** Create the run directory if needed and clear the previous run's
+    artifacts — every top-level file, the [store.*] directories and the
+    forked cluster agents' [agent*] scratch directories — so a reused
+    directory cannot mix two runs' traces. *)
 
 type sv_result = {
   sv_crashes : int;
@@ -69,12 +35,33 @@ type sv_result = {
   sv_gens : (int * int) list;  (** (pid, final generation) *)
 }
 
-val supervise : cfg -> base:float -> workers:int list -> sv_result
+val supervise :
+  dir:string ->
+  link:Link.factory ->
+  Plan.t ->
+  base:float ->
+  workers:int list ->
+  sv_result
 (** The fork/SIGKILL/respawn/reap loop over an explicit pid subset —
-    the piece a cluster agent reuses for its local block. [base] is the
-    run's shared time origin and may lie in the future (coordinated
-    multi-host start); the fault schedule is filtered to [workers].
-    Does not validate, clean the directory, or merge traces. *)
+    the piece a cluster agent reuses for its local block, over its TCP
+    [link]. [base] is the run's shared time origin and may lie in the
+    future (coordinated multi-host start); the plan's kill schedule is
+    filtered to [workers]. Does not validate, clean the directory, or
+    merge traces. *)
 
-val run : cfg -> result
-(** Blocks for [duration + settle] seconds plus shutdown grace. *)
+val finish :
+  dir:string ->
+  ?extra:(string * Optimist_obs.Json.t) list ->
+  Plan.t ->
+  sv_result ->
+  result
+(** The run-directory writer shared by single-host and cluster runs:
+    merge the traces under [dir] ({!Merge}), write the Chrome timeline
+    and [run.json] — [extra] keys first, then {!Plan.to_json}, then
+    crashes, clean_exits, events, dropped_lines and generations. *)
+
+val run : dir:string -> Plan.t -> (result, string) Stdlib.result
+(** One single-host run over the UDS mesh under [dir]: {!Plan.validate}
+    (plus the [sun_path] check of [dir]) before anything is touched,
+    {!clean_dir}, {!supervise} every pid, {!finish}. Blocks for
+    [duration + settle] seconds plus shutdown grace. *)

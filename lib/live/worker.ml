@@ -22,36 +22,13 @@ type dg = Dg
 let live_check_rules (_ : dg) =
   Option.get (Registry.entry Registry.Damani_garg).live_rules
 
-type telemetry = Off | Ring | Full
-
-let telemetry_name = function Off -> "off" | Ring -> "ring" | Full -> "full"
-
-let telemetry_of_string = function
-  | "off" -> Some Off
-  | "ring" -> Some Ring
-  | "full" -> Some Full
-  | _ -> None
-
 type cfg = {
+  plan : Plan.t;
   dir : string;
   me : int;
-  n : int;
-  protocol : Registry.id;
   gen : int;  (** incarnation: 0 on first spawn, +1 per restart *)
-  seed : int64;
   base : float;  (** shared [Unix.gettimeofday] origin of the run *)
-  duration : float;  (** injection window, seconds *)
-  settle : float;  (** extra drain time after the window *)
-  rate : float;
-  hops : int;
-  pattern : Traffic.pattern;
-  jitter : float * float;
-  faults : Link.faults;
-  telemetry : telemetry;
-  link : Link.factory option;
-      (** [None] = the classic single-host UDS mesh built from [dir],
-          [faults] and [seed]; [Some f] = an alternative fabric (the
-          cluster's TCP link). *)
+  link : Link.factory;
 }
 
 type outcome = {
@@ -78,8 +55,8 @@ let store_dir ~dir ~me = Filename.concat dir (Printf.sprintf "store.w%d" me)
    the overhead-bench middle ground); [Off] uses the null recorder, so
    the [Trace.enabled] guards short-circuit everywhere. *)
 let open_trace cfg =
-  match cfg.telemetry with
-  | Off -> (Trace.null, None)
+  match cfg.plan.telemetry with
+  | Plan.Off -> (Trace.null, None)
   | Ring ->
       let tracer = Trace.create () in
       Trace.attach tracer (Trace.Ring.sink (Trace.Ring.create ()));
@@ -104,8 +81,8 @@ let write_stats cfg ~net_stats ~store_stats outcome =
       [
         ("pid", Json.Int cfg.me);
         ("gen", Json.Int cfg.gen);
-        ("protocol", Json.String (Registry.name cfg.protocol));
-        ("telemetry", Json.String (telemetry_name cfg.telemetry));
+        ("protocol", Json.String (Registry.name cfg.plan.protocol));
+        ("telemetry", Json.String (Plan.telemetry_name cfg.plan.telemetry));
         ("epoch", Json.Int outcome.epoch);
         ("digest", Json.Int outcome.digest);
         ("counters", Json.Obj (kv outcome.counters));
@@ -128,8 +105,9 @@ let write_stats cfg ~net_stats ~store_stats outcome =
 let schedule_injections cfg loop inject =
   let injections =
     Schedule.poisson_injections
-      ~seed:(Int64.add cfg.seed 7919L)
-      ~n:cfg.n ~rate:cfg.rate ~duration:cfg.duration ~hops:cfg.hops
+      ~seed:(Int64.add cfg.plan.seed 7919L)
+      ~n:cfg.plan.n ~rate:cfg.plan.rate ~duration:cfg.plan.duration
+      ~hops:cfg.plan.hops
   in
   let now = Loop.now loop in
   List.iter
@@ -145,7 +123,7 @@ let uid_gen cfg =
   let seq = ref 0 in
   fun () ->
     incr seq;
-    (((cfg.gen lsl 28) + !seq) * cfg.n) + cfg.me
+    (((cfg.gen lsl 28) + !seq) * cfg.plan.n) + cfg.me
 
 (* --- telemetry plumbing --- *)
 
@@ -161,7 +139,7 @@ let emit_snapshot cfg loop ~ver values =
         ver;
         clock = [||];
         kind =
-          Trace.Snapshot { protocol = Registry.name cfg.protocol; values };
+          Trace.Snapshot { protocol = Registry.name cfg.plan.protocol; values };
       }
 
 (* Periodic metric snapshots, re-armed until the loop deadline drops the
@@ -315,7 +293,7 @@ let damani_garg env net =
   in
   let p =
     Process.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
-      ~id:env.cfg.me ~n:env.cfg.n ~config:live_dg_config ~stable
+      ~id:env.cfg.me ~n:env.cfg.plan.n ~config:live_dg_config ~stable
       ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
   Store.write_gen store env.cfg.gen;
@@ -350,7 +328,7 @@ let pessimistic env net =
   in
   let p =
     Pessimistic.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
-      ~id:env.cfg.me ~n:env.cfg.n ~config:live_pessimist_config ~stable
+      ~id:env.cfg.me ~n:env.cfg.plan.n ~config:live_pessimist_config ~stable
       ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
   let module I = Instance (Pessimistic) in
@@ -378,7 +356,7 @@ let sender_based env net =
   in
   let p =
     Sender_based.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
-      ~id:env.cfg.me ~n:env.cfg.n ~config:live_sender_config ~stable
+      ~id:env.cfg.me ~n:env.cfg.plan.n ~config:live_sender_config ~stable
       ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
   let module I = Instance (Sender_based) in
@@ -420,7 +398,7 @@ let strom_yemini env net =
   in
   let p =
     Strom_yemini.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
-      ~id:env.cfg.me ~n:env.cfg.n ~config:live_sy_config ~stable
+      ~id:env.cfg.me ~n:env.cfg.plan.n ~config:live_sy_config ~stable
       ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
   Store.write_gen store env.cfg.gen;
@@ -449,8 +427,8 @@ let checkpoint_only env net =
       | [] ->
           {
             Checkpoint_only.ax_epoch = 0;
-            ax_floor = Array.make env.cfg.n max_int;
-            ax_peer_epoch = Array.make env.cfg.n 0;
+            ax_floor = Array.make env.cfg.plan.n max_int;
+            ax_peer_epoch = Array.make env.cfg.plan.n 0;
           }
     in
     {
@@ -460,7 +438,7 @@ let checkpoint_only env net =
   in
   let p =
     Checkpoint_only.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
-      ~id:env.cfg.me ~n:env.cfg.n ~config:live_cpo_config ~stable
+      ~id:env.cfg.me ~n:env.cfg.plan.n ~config:live_cpo_config ~stable
       ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
   Store.write_gen store env.cfg.gen;
@@ -493,7 +471,7 @@ let coordinated env net =
       | [] ->
           {
             Coordinated.ax_epoch = 0;
-            ax_peer_epoch = Array.make env.cfg.n 0;
+            ax_peer_epoch = Array.make env.cfg.plan.n 0;
             ax_round = 0;
           }
     in
@@ -501,7 +479,7 @@ let coordinated env net =
   in
   let p =
     Coordinated.create_rt ~rt:(Loop.runtime env.loop) ~net ~app:env.app
-      ~id:env.cfg.me ~n:env.cfg.n ~config:live_koo_config ~stable
+      ~id:env.cfg.me ~n:env.cfg.plan.n ~config:live_koo_config ~stable
       ?restore:(restore env image) ~next_uid:(uid_gen env.cfg) ()
   in
   Store.write_gen store env.cfg.gen;
@@ -535,18 +513,16 @@ let schedule_link_snapshots cfg loop (link : _ Link.t) =
   end
 
 (* [run] is handed the link's transport at the payload type its adapter
-   fixes. *)
+   fixes. Strom-Yemini assumes FIFO channels: protocols with the
+   registry's [fifo] fact send jitter-free, which keeps either pipe
+   order-preserving (kernel AF_UNIX queues and TCP streams are FIFO per
+   peer pair). *)
 let with_net cfg loop run =
-  let factory =
-    match cfg.link with
-    | Some f -> f
-    | None ->
-        Livenet.factory ~faults:cfg.faults ~dir:cfg.dir ~n:cfg.n
-          ~seed:cfg.seed ()
+  let jitter =
+    if (Registry.entry cfg.plan.protocol).fifo then (0.0, 0.0)
+    else (0.001, 0.02)
   in
-  let link =
-    factory.Link.make ~loop ~me:cfg.me ~gen:cfg.gen ~jitter:cfg.jitter
-  in
+  let link = cfg.link.Link.make ~loop ~me:cfg.me ~gen:cfg.gen ~jitter in
   (* Gen 0 waits for the whole mesh to come up before the protocol starts
      talking; restarted incarnations find every peer already present. *)
   if not (link.Link.ready ~timeout:10.0) then (
@@ -577,7 +553,7 @@ let run cfg loop sctx (Adapter start) =
       loop;
       store;
       span = (fun name f -> Span.with_ sctx name f);
-      app = Traffic.app ~n:cfg.n cfg.pattern;
+      app = Traffic.app ~n:cfg.plan.n cfg.plan.pattern;
     }
   in
   let p = start env (span_transport sctx net) in
@@ -594,7 +570,7 @@ let run cfg loop sctx (Adapter start) =
         ~bytes_before);
   schedule_snapshots cfg loop ~ver:p.version p.metrics;
   schedule_injections cfg loop p.inject;
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
+  Loop.run loop ~until:(cfg.plan.duration +. cfg.plan.settle);
   p.finish ();
   final_snapshot cfg loop ~ver:(p.version ()) (p.metrics ());
   {
@@ -606,19 +582,12 @@ let run cfg loop sctx (Adapter start) =
 let main cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let adapter =
-    match adapter cfg.protocol with
+    match adapter cfg.plan.protocol with
     | Some a -> a
     | None ->
         invalid_arg
           (Printf.sprintf "Worker: %s does not run live"
-             (Registry.name cfg.protocol))
-  in
-  (* Strom-Yemini assumes FIFO channels; zero jitter keeps the datagram
-     mesh order-preserving enough for the assumption to hold in practice
-     (kernel AF_UNIX queues are FIFO per socket pair). *)
-  let cfg =
-    if (Registry.entry cfg.protocol).fifo then { cfg with jitter = (0.0, 0.0) }
-    else cfg
+             (Registry.name cfg.plan.protocol))
   in
   let tracer, trace_oc = open_trace cfg in
   let loop = Loop.create ~tracer ~base:cfg.base () in

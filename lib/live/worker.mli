@@ -2,14 +2,12 @@
 
     A worker assembles the shared protocol code from [lib/core] (or a
     baseline from [lib/protocols]) on top of the live substrate:
-    {!Loop} as the {!Optimist_core.Transport.runtime}, {!Livenet} as
+    {!Loop} as the {!Optimist_core.Transport.runtime}, a {!Link} as
     the transport, {!Store} behind the stable hooks, and a
     per-incarnation JSONL trace file. Incarnation [gen = 0] starts
     fresh; [gen > 0] (a supervisor respawn after a SIGKILL) reloads the
     persisted image and runs the protocol's [recover] — the paper's
     Restart over real stable storage. *)
-
-module Traffic = Optimist_workload.Traffic
 
 type dg = Dg
 
@@ -22,34 +20,17 @@ val has_adapter : Optimist_protocols.Registry.id -> bool
 (** Whether the worker can host the protocol. Exactly the registry's
     {!Optimist_protocols.Registry.live} ids have an adapter. *)
 
-type telemetry =
-  | Off  (** null recorder: instrumentation short-circuits *)
-  | Ring  (** events into a bounded in-memory ring, nothing on disk *)
-  | Full  (** per-incarnation JSONL trace file (the default) *)
-
-val telemetry_name : telemetry -> string
-val telemetry_of_string : string -> telemetry option
-
 type cfg = {
-  dir : string;  (** run directory: sockets, stores, traces *)
+  plan : Plan.t;  (** the run, shared by every worker *)
+  dir : string;  (** run directory: stores, traces, UDS sockets *)
   me : int;
-  n : int;
-  protocol : Optimist_protocols.Registry.id;  (** one of the live ids *)
   gen : int;  (** incarnation: 0 on first spawn, +1 per restart *)
-  seed : int64;
   base : float;  (** shared [Unix.gettimeofday] origin of the run *)
-  duration : float;  (** injection window, seconds *)
-  settle : float;  (** extra drain time after the window *)
-  rate : float;  (** injections per process per second *)
-  hops : int;
-  pattern : Traffic.pattern;
-  jitter : float * float;  (** Data-lane send-delay range, seconds *)
-  faults : Link.faults;  (** seeded network-fault plan *)
-  telemetry : telemetry;
-  link : Link.factory option;
-      (** [None] = the classic single-host UDS mesh built from [dir],
-          [faults] and [seed]; [Some f] = an alternative fabric (the
-          cluster's TCP link) *)
+  link : Link.factory;
+      (** the fabric: the UDS mesh under [dir] or the cluster's TCP mesh;
+          it carries the plan's network faults. The worker sends
+          jitter-free over it when the registry marks the protocol
+          [fifo], with a (0.001, 0.02) s Data-lane jitter otherwise. *)
 }
 
 val trace_file : dir:string -> me:int -> gen:int -> string
@@ -64,6 +45,6 @@ val store_dir : dir:string -> me:int -> string
 
 val main : cfg -> unit
 (** Run the worker to its deadline and write the stats file. Blocks;
-    meant to be the body of a forked child. Exits 1 if the peer sockets
-    do not appear; raises [Invalid_argument] for a protocol without a
+    meant to be the body of a forked child. Exits 1 if the peers do not
+    appear; raises [Invalid_argument] for a protocol without a
     live adapter. *)

@@ -1,6 +1,8 @@
 module Prng = Optimist_util.Prng
 module Json = Optimist_obs.Json
 module Registry = Optimist_protocols.Registry
+module Plan = Optimist_live.Plan
+module Link = Optimist_live.Link
 
 (* One randomized fault scenario, decided entirely by (campaign seed,
    scenario index): everything a live run needs — size, traffic shape,
@@ -279,7 +281,33 @@ let of_token s =
           (Printf.sprintf "expected SEED:INDEX:PROTOCOL or a scenario file, got %S"
              s)
 
-(* The supervisor seed of a run: derived, so the same scenario (and its
-   shrunk variants, which keep seed and index) replays the same
-   workload. *)
-let run_seed t = Int64.add t.sc_seed (Int64.of_int (t.sc_index + 1))
+(* The live plan of a scenario. The run seed is derived, so the same
+   scenario (and its shrunk variants, which keep seed and index) replays
+   the same workload. *)
+let live_plan t =
+  {
+    Plan.default with
+    n = t.sc_n;
+    protocol = t.sc_protocol;
+    seed = Int64.add t.sc_seed (Int64.of_int (t.sc_index + 1));
+    duration = t.sc_duration;
+    settle = t.sc_settle;
+    rate = t.sc_rate;
+    hops = t.sc_hops;
+    kills = List.map (fun k -> (k.kl_at, k.kl_pid)) t.sc_kills;
+    net_faults =
+      {
+        Link.drop_rate = t.sc_drop;
+        dup_rate = t.sc_dup;
+        partitions =
+          List.map
+            (fun p ->
+              {
+                Link.pt_start = p.pr_start;
+                pt_stop = p.pr_stop;
+                pt_island = p.pr_island;
+              })
+            t.sc_partitions;
+      };
+    restart_delay = t.sc_restart_delay;
+  }

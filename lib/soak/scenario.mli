@@ -60,6 +60,7 @@ val of_token : string -> (t, string) result
 (** Accepts a ["SEED:INDEX:PROTOCOL"] token or a path to a scenario
     JSON file (the shrinker's minimal artifact). *)
 
-val run_seed : t -> int64
-(** The supervisor seed for this scenario's live runs (derived from
-    seed and index, stable under shrinking). *)
+val live_plan : t -> Optimist_live.Plan.t
+(** The live run of the scenario, for the single-host runner and the
+    cluster runner alike: uniform traffic, full telemetry, and a run seed
+    derived from seed and index (stable under shrinking). *)

@@ -1,12 +1,9 @@
-module Worker = Optimist_live.Worker
 module Registry = Optimist_protocols.Registry
 module Supervisor = Optimist_live.Supervisor
-module Link = Optimist_live.Link
 module Check = Optimist_check.Check
 module Trace = Optimist_obs.Trace
 module Json = Optimist_obs.Json
 module Report = Optimist_obs.Report
-module Traffic = Optimist_workload.Traffic
 
 (* The soak harness: run seeded scenarios against the live runtime, lint
    every merged trace against the protocol's declared sanitizer rules,
@@ -47,39 +44,6 @@ let oracle_check ~crashes merged =
          crashes !restarts)
   else None
 
-let supervisor_cfg ~dir (s : Scenario.t) =
-  {
-    Supervisor.dir;
-    n = s.sc_n;
-    protocol = s.sc_protocol;
-    seed = Scenario.run_seed s;
-    duration = s.sc_duration;
-    settle = s.sc_settle;
-    rate = s.sc_rate;
-    hops = s.sc_hops;
-    pattern = Traffic.Uniform;
-    faults =
-      List.map (fun k -> (k.Scenario.kl_at, k.Scenario.kl_pid)) s.sc_kills;
-    net_faults =
-      {
-        Link.drop_rate = s.sc_drop;
-        dup_rate = s.sc_dup;
-        partitions =
-          List.map
-            (fun p ->
-              {
-                Link.pt_start = p.Scenario.pr_start;
-                pt_stop = p.Scenario.pr_stop;
-                pt_island = p.Scenario.pr_island;
-              })
-            s.sc_partitions;
-      };
-    restart_delay = s.sc_restart_delay;
-    jitter = Supervisor.default_cfg.Supervisor.jitter;
-    telemetry = Worker.Full;
-    link = None;
-  }
-
 let count_by_rule violations =
   let tbl = Hashtbl.create 8 in
   List.iter
@@ -92,31 +56,28 @@ let count_by_rule violations =
 
 (* Judge a finished run: lint the merged trace against the protocol's
    declared rules and cross-check the crash count. Shared by the
-   single-host runner below and the cluster runner, which produces the
-   same (crashes, events, merged) triple from remote agents. *)
-let assess ~crashes ~events ~merged (s : Scenario.t) =
+   single-host runner below and the cluster runner, whose result has the
+   same shape. *)
+let assess (r : Supervisor.result) (s : Scenario.t) =
   let rules =
     Option.value ~default:[]
       (Registry.entry s.Scenario.sc_protocol).Registry.live_rules
   in
-  match Check.Lint.run ~only:rules merged with
+  match Check.Lint.run ~only:rules r.merged with
   | Error msg -> Error msg
   | Ok lint ->
       Ok
         {
-          rr_crashes = crashes;
-          rr_events = events;
+          rr_crashes = r.crashes;
+          rr_events = r.events;
           rr_violations = count_by_rule lint.Check.Lint.violations;
-          rr_oracle = oracle_check ~crashes merged;
-          rr_merged = merged;
+          rr_oracle = oracle_check ~crashes:r.crashes r.merged;
+          rr_merged = r.merged;
         }
 
-let run_scenario ~dir (s : Scenario.t) =
-  match Supervisor.run (supervisor_cfg ~dir s) with
-  | exception Invalid_argument msg -> Error msg
-  | r ->
-      assess ~crashes:r.Supervisor.crashes ~events:r.Supervisor.events
-        ~merged:r.Supervisor.merged s
+let run_scenario ~dir s =
+  Result.bind (Supervisor.run ~dir (Scenario.live_plan s)) (fun r ->
+      assess r s)
 
 (* Greedy shrink descent: re-run each strict simplification; the first
    one that still fails becomes the new current scenario. Every live run

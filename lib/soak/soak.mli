@@ -21,15 +21,11 @@ val failed : run_result -> bool
 (** Any lint violation or oracle mismatch. *)
 
 val assess :
-  crashes:int ->
-  events:int ->
-  merged:string ->
-  Scenario.t ->
-  (run_result, string) result
-(** Judge a finished run: lint [merged] against the scenario protocol's
-    registry [live_rules] and oracle-check the crash
-    count. Shared by {!run_scenario} and alternative runners (the
-    cluster's multi-host runner) that produce the same triple. *)
+  Optimist_live.Supervisor.result -> Scenario.t -> (run_result, string) result
+(** Judge a finished run: lint its merged trace against the scenario
+    protocol's registry [live_rules] and oracle-check the crash count.
+    Shared by {!run_scenario} and the cluster's multi-host runner, which
+    return the same result. *)
 
 val run_scenario : dir:string -> Scenario.t -> (run_result, string) result
 (** One live run of the scenario in [dir] (cleared first), linted

@@ -30,4 +30,4 @@ val host_port : string -> (string * int, string) result
 val fault : string -> (float * int, string) result
 (** A ["SECONDS:PID"] crash point: positive finite time, non-negative
     pid. Range checks against the run's [n] and duration happen later,
-    in [Supervisor.validate]. *)
+    in [Optimist_live.Plan.validate]. *)

@@ -16,7 +16,11 @@ type mesh = {
   inject : dst:int -> Bytes.t -> unit;  (** one raw frame to [dst] *)
 }
 
-type pipe = { prefix : string; mesh : unit -> mesh }
+type pipe = {
+  prefix : string;
+  max_frame : int;  (** the longest frame the pipe delivers whole *)
+  mesh : unit -> mesh;
+}
 
 let tmp_counter = ref 0
 
@@ -45,6 +49,7 @@ let endpoints base n = Array.init n (fun i -> ("127.0.0.1", base + i))
 let uds =
   {
     prefix = "livenet";
+    max_frame = Livenet.max_frame;
     mesh =
       (fun () ->
         let dir = temp_dir () in
@@ -64,6 +69,7 @@ let uds =
 let tcp =
   {
     prefix = "tcp link";
+    max_frame = Tcplink.max_frame;
     mesh =
       (fun () ->
         let eps = endpoints (port_base ()) 2 in
@@ -227,6 +233,31 @@ let undecodable_frame_is_counted pipe () =
   Alcotest.(check int) "nothing received" 0 (stat b "received");
   b.Link.close ()
 
+let oversized_frame_is_refused pipe () =
+  (* A frame one byte past what the pipe delivers whole would arrive cut
+     short (or not at all) on every retransmit. The link refuses it at
+     send time, once per send, on either lane: a Control frame never
+     enters the retransmit table. *)
+  let loop = new_loop () in
+  let f = (pipe.mesh ()).factory Link.no_faults in
+  let a = make f loop 0 and b = make f loop 1 in
+  connects a b;
+  let got = collect b 1 in
+  ignore (collect a 0);
+  let big = String.make (pipe.max_frame + 1) 'x' in
+  send a Transport.Control ~dst:1 big;
+  Alcotest.(check int) "control frame not kept for retransmit" 0
+    (a.Link.unacked ());
+  Alcotest.(check int) "refusal counted once" 1 (stat a "send_errors");
+  send a Transport.Data ~dst:1 big;
+  Loop.run loop ~until:0.3;
+  Alcotest.(check int) "still nothing unacked" 0 (a.Link.unacked ());
+  Alcotest.(check int) "data refusal counted" 2 (stat a "send_errors");
+  Alcotest.(check int) "nothing retransmitted" 0 (stat a "retransmits");
+  Alcotest.(check (list string)) "nothing delivered" [] !got;
+  a.Link.close ();
+  b.Link.close ()
+
 let suite pipe =
   List.map
     (fun (name, body) ->
@@ -238,4 +269,5 @@ let suite pipe =
       ("one-way partition heals exactly-once", one_way_partition_heals);
       ("sender outside the mesh is counted", bad_sender_is_counted);
       ("undecodable frame is counted", undecodable_frame_is_counted);
+      ("oversized frame is refused at send", oversized_frame_is_refused);
     ]

@@ -8,7 +8,7 @@ module Loop = Optimist_live.Loop
 module Link = Optimist_live.Link
 module Tcplink = Optimist_cluster.Tcplink
 module Coordinator = Optimist_cluster.Coordinator
-module Worker = Optimist_live.Worker
+module Plan = Optimist_live.Plan
 module Transport = Optimist_core.Transport
 module Trace = Optimist_obs.Trace
 module Check = Optimist_check.Check
@@ -156,30 +156,30 @@ let lint_clean path =
 let test_cluster_run_with_crash () =
   let out = Filename.concat (temp_dir ()) "cl" in
   let base = port_base () in
-  let cfg =
+  let plan =
     {
-      Coordinator.default_cfg with
-      Coordinator.cc_out = out;
-      cc_n = 4;
-      cc_seed = 42L;
-      cc_duration = 1.6;
-      cc_settle = 1.4;
-      cc_rate = 6.0;
-      cc_hops = 3;
-      cc_kills = [ (0.7, 1) ];
-      cc_worker_base = base + 8;
+      Plan.default with
+      n = 4;
+      seed = 42L;
+      duration = 1.6;
+      settle = 1.4;
+      rate = 6.0;
+      hops = 3;
+      kills = [ (0.7, 1) ];
     }
+  in
+  let cfg =
+    { Coordinator.default_cfg with plan; out; worker_base = base + 8 }
   in
   match Coordinator.run_forked ~port_base:base ~agents:2 cfg with
   | Error msg -> Alcotest.failf "cluster run failed: %s" msg
   | Ok r ->
-      Alcotest.(check int) "one crash injected" 1 r.Coordinator.cs_crashes;
+      Alcotest.(check int) "one crash injected" 1 r.crashes;
       Alcotest.(check int) "every final incarnation exits clean" 4
-        r.Coordinator.cs_clean_exits;
-      Alcotest.(check bool) "events recorded" true
-        (r.Coordinator.cs_events > 50);
+        r.clean_exits;
+      Alcotest.(check bool) "events recorded" true (r.events > 50);
       let restarted = ref false and tcp_snapshot = ref false in
-      Trace.iter_file r.Coordinator.cs_merged ~f:(fun ~line:_ -> function
+      Trace.iter_file r.merged ~f:(fun ~line:_ -> function
         | Ok { Trace.pid = 1; kind = Trace.Restart { new_ver }; _ }
           when new_ver >= 1 ->
             restarted := true
@@ -190,8 +190,21 @@ let test_cluster_run_with_crash () =
       Alcotest.(check bool) "killed worker restarted over TCP" true !restarted;
       Alcotest.(check bool) "link metrics snapshotted" true !tcp_snapshot;
       Alcotest.(check bool) "chrome timeline written" true
-        (Sys.file_exists r.Coordinator.cs_chrome);
-      lint_clean r.Coordinator.cs_merged
+        (Sys.file_exists r.chrome);
+      lint_clean r.merged;
+      (* One run.json format: a cluster run directory has every key of a
+         single-host one, partitions included, after its own. *)
+      let keys = Test_live.run_json_keys out in
+      List.iter
+        (fun k ->
+          Alcotest.(check bool)
+            (Printf.sprintf "cluster run.json has %S" k)
+            true (List.mem k keys))
+        Test_live.single_host_run_keys;
+      Alcotest.(check (list string)) "cluster keys first, then the shared ones"
+        ([ "transport"; "run"; "agents"; "peers" ]
+        @ Test_live.single_host_run_keys)
+        keys
 
 let suite =
   [

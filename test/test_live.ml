@@ -8,7 +8,8 @@ module Livenet = Optimist_live.Livenet
 module Store = Optimist_live.Store
 module Merge = Optimist_live.Merge
 module Supervisor = Optimist_live.Supervisor
-module Worker = Optimist_live.Worker
+module Plan = Optimist_live.Plan
+module Coordinator = Optimist_cluster.Coordinator
 module Registry = Optimist_protocols.Registry
 module Transport = Optimist_core.Transport
 module Trace = Optimist_obs.Trace
@@ -222,25 +223,31 @@ let test_image_restart_dedup () =
 (* --- livenet (the lane table over both pipes is in lanes.ml) --- *)
 
 let test_livenet_oversized_datagram () =
-  (* A control frame longer than the receive buffer arrives truncated on
-     every retransmit: each copy is counted as a bad frame on the
-     receiver instead of vanishing, and the sender keeps it unacked. *)
+  (* A datagram longer than any frame the pipe delivers — here a 300 KB
+     control frame written straight to the peer's socket, past the
+     sender-side size check — arrives truncated: the receiver counts it
+     as a bad frame instead of letting it vanish, and nothing is
+     delivered or acked. *)
+  let dir = temp_dir () in
   let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let f = Livenet.factory ~dir:(temp_dir ()) ~n:2 ~seed:7L () in
-  let a = f.Link.make ~loop ~me:0 ~gen:0 ~jitter:(0.001, 0.02) in
+  let f = Livenet.factory ~dir ~n:2 ~seed:7L () in
   let b = f.Link.make ~loop ~me:1 ~gen:0 ~jitter:(0.001, 0.02) in
   let got = ref 0 in
   b.Link.transport.Transport.set_handler 1 (fun _ -> incr got);
-  a.Link.transport.Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    (String.make 300_000 'x');
+  let frame =
+    Lanes.forge
+      (Lanes.Ctl_msg { src = 0; seq = 1; payload = String.make 300_000 'x' })
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_DGRAM 0 in
+  ignore
+    (Unix.sendto fd frame 0 (Bytes.length frame) []
+       (Unix.ADDR_UNIX (Livenet.sock_path dir 1)));
+  Unix.close fd;
   Loop.run loop ~until:0.25;
   let stat (l : _ Link.t) k = List.assoc k (l.Link.stats ()) in
   Alcotest.(check int) "nothing delivered" 0 !got;
-  Alcotest.(check bool) "truncated copies counted" true
-    (stat b "bad_frames" >= 1);
+  Alcotest.(check int) "truncated datagram counted" 1 (stat b "bad_frames");
   Alcotest.(check int) "not received as a frame" 0 (stat b "received");
-  Alcotest.(check int) "still unacked" 1 (a.Link.unacked ());
-  a.Link.close ();
   b.Link.close ()
 
 (* --- merge --- *)
@@ -359,22 +366,46 @@ let lint_clean path =
       Alcotest.(check int) "lint warnings" 0 (Check.Lint.warnings report);
       Alcotest.(check int) "parse errors" 0 report.Check.Lint.parse_errors
 
+(* The keys of a single-host run.json, in file order. *)
+let single_host_run_keys =
+  [
+    "protocol"; "telemetry"; "n"; "seed"; "duration"; "settle"; "rate";
+    "hops"; "faults"; "drop_rate"; "dup_rate"; "partitions"; "crashes";
+    "clean_exits"; "events"; "dropped_lines"; "generations";
+  ]
+
+let run_json_keys dir =
+  let ic = open_in (Supervisor.run_file dir) in
+  let line = input_line ic in
+  close_in ic;
+  match Json.of_string line with
+  | Ok (Json.Obj kvs) -> List.map fst kvs
+  | _ -> Alcotest.failf "%s is not a JSON object" (Supervisor.run_file dir)
+
+(* A three-worker run with one SIGKILL at 0.7 s. *)
+let crash_plan protocol =
+  {
+    Plan.default with
+    n = 3;
+    protocol;
+    seed = 42L;
+    duration = 1.6;
+    settle = 1.2;
+    rate = 6.0;
+    hops = 3;
+    kills = [ (0.7, 1) ];
+  }
+
+let run_ok ~dir plan =
+  match Supervisor.run ~dir plan with
+  | Ok r -> r
+  | Error msg -> Alcotest.failf "live run refused: %s" msg
+
 let test_supervised_run_with_crash () =
   let dir = temp_dir () in
-  let cfg =
-    {
-      Supervisor.default_cfg with
-      Supervisor.dir;
-      n = 3;
-      seed = 42L;
-      duration = 1.6;
-      settle = 1.2;
-      rate = 6.0;
-      hops = 3;
-      faults = [ (0.7, 1) ];
-    }
-  in
-  let r = Supervisor.run cfg in
+  let r = run_ok ~dir (crash_plan Registry.Damani_garg) in
+  Alcotest.(check (list string)) "run.json keys" single_host_run_keys
+    (run_json_keys dir);
   Alcotest.(check int) "one crash injected" 1 r.Supervisor.crashes;
   Alcotest.(check int) "every final incarnation exits clean" 3
     r.Supervisor.clean_exits;
@@ -443,22 +474,7 @@ let test_supervised_run_with_crash () =
    final incarnation exits clean, and the merged trace passes the full
    offline rule battery in strict mode (errors and warnings both zero). *)
 let baseline_survives_crash protocol () =
-  let dir = temp_dir () in
-  let cfg =
-    {
-      Supervisor.default_cfg with
-      Supervisor.dir;
-      n = 3;
-      protocol;
-      seed = 42L;
-      duration = 1.6;
-      settle = 1.2;
-      rate = 6.0;
-      hops = 3;
-      faults = [ (0.7, 1) ];
-    }
-  in
-  let r = Supervisor.run cfg in
+  let r = run_ok ~dir:(temp_dir ()) (crash_plan protocol) in
   Alcotest.(check int) "one crash injected" 1 r.Supervisor.crashes;
   Alcotest.(check int) "every final incarnation exits clean" 3
     r.Supervisor.clean_exits;
@@ -471,34 +487,62 @@ let baseline_survives_crash protocol () =
   Alcotest.(check bool) "worker 1 restarted" true !restarted;
   lint_clean r.Supervisor.merged
 
+(* The plan validator, one row per refusal. Every carrier reports the
+   same one-line message: [Plan.validate] itself, [Supervisor.run] (which
+   adds the sun_path check of its directory) and the cluster
+   coordinator, before any agent is contacted. *)
 let test_supervisor_validates () =
-  let check_invalid name cfg =
-    match Supervisor.validate cfg with
-    | () -> Alcotest.failf "%s accepted" name
-    | exception Invalid_argument _ -> ()
+  let d = Plan.default in
+  let partition pt_start pt_stop pt_island =
+    { d with
+      net_faults =
+        { Link.no_faults with partitions = [ { Link.pt_start; pt_stop; pt_island } ] } }
   in
-  check_invalid "n=1" { Supervisor.default_cfg with Supervisor.n = 1 };
-  check_invalid "bad fault pid"
-    { Supervisor.default_cfg with Supervisor.faults = [ (1.0, 9) ] };
-  check_invalid "fault after window"
-    { Supervisor.default_cfg with Supervisor.faults = [ (99.0, 0) ] };
-  check_invalid "zero rate" { Supervisor.default_cfg with Supervisor.rate = 0.0 };
-  check_invalid "dir overflows sun_path"
-    {
-      Supervisor.default_cfg with
-      Supervisor.dir = Filename.concat (String.make 120 'x') "run";
-    };
-  (let contains hay needle =
+  let one_line name = function
+    | Ok _ -> Alcotest.failf "%s accepted" name
+    | Error msg ->
+        Alcotest.(check bool) (name ^ ": one-line error") false
+          (String.contains msg '\n' || msg = "");
+        msg
+  in
+  List.iter
+    (fun (name, plan) -> ignore (one_line name (Plan.validate plan)))
+    [
+      ("n=1", { d with n = 1 });
+      ("simulator-only protocol", { d with protocol = Registry.Peterson_kearns });
+      ("zero duration", { d with duration = 0.0 });
+      ("negative settle", { d with settle = -0.5 });
+      ("zero rate", { d with rate = 0.0 });
+      ("zero restart delay", { d with restart_delay = 0.0 });
+      ("bad fault pid", { d with kills = [ (1.0, 9) ] });
+      ("fault after window", { d with kills = [ (99.0, 0) ] });
+      ("drop = 1", { d with net_faults = { Link.no_faults with drop_rate = 1.0 } });
+      ("dup = 1", { d with net_faults = { Link.no_faults with dup_rate = 1.0 } });
+      ("empty partition window", partition 1.0 1.0 [ 0 ]);
+      ("empty partition island", partition 0.5 1.0 []);
+      ("partition pid out of range", partition 0.5 1.0 [ 7 ]);
+    ];
+  (let long = Filename.concat (String.make 120 'x') "run" in
+   let msg = one_line "dir overflows sun_path" (Supervisor.run ~dir:long d) in
+   let contains hay needle =
      let nh = String.length hay and nn = String.length needle in
      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
      go 0
    in
-   match Livenet.check_dir ~dir:(String.make 120 'x') ~n:4 with
-   | Ok () -> Alcotest.fail "long dir accepted"
-   | Error msg ->
-       Alcotest.(check bool) "error names the limit" true
-         (contains msg "sun_path"));
-  Supervisor.validate Supervisor.default_cfg
+   Alcotest.(check bool) "error names the limit" true (contains msg "sun_path");
+   Alcotest.(check bool) "nothing created" false (Sys.file_exists long));
+  (let bad = { d with kills = [ (1.0, 9) ] } in
+   let out = Filename.concat (temp_dir ()) "cl" in
+   let msg =
+     one_line "cluster run with a bad fault pid"
+       (Coordinator.run_forked ~agents:2 { Coordinator.default_cfg with plan = bad; out })
+   in
+   Alcotest.(check (result unit string)) "the validator's message"
+     (Error msg) (Plan.validate bad);
+   Alcotest.(check bool) "no agent forked, nothing written" false
+     (Sys.file_exists out));
+  Alcotest.(check (result unit string)) "default plan valid" (Ok ())
+    (Plan.validate d)
 
 let suite =
   [
